@@ -6,14 +6,12 @@ resulting truncations.
 """
 
 from .exact import (
-    LogConstant, RadicalScale, Rational,
+    LogConstant, RadicalScale,
     log_of_rational, logconst_eval_f64, scale_log, scale_ratio_as_rational,
 )
 from .pseries import (
     TruncatedBiSeries, LOG_RING,
-    delta, neumann_inverse_one_plus_delta,
-    series_add, series_eval_f64, series_exp, series_inverse, series_log,
-    series_mul, series_neg,
+    delta, neumann_inverse_one_plus_delta, series_eval_f64,
 )
 from .dickman import (
     PSeries, QSeries, RhoValue,

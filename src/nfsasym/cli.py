@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("expand", help="compute the coefficient table")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--prove", action="store_true",
-                   help="run the full guess/existence/minimality pipeline")
+                   help="prove the table: one schedule pass plus existence certificates")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--format", choices=("json", "csv", "latex"), default="csv")
     p.add_argument("--no-cache", action="store_true")

@@ -30,12 +30,11 @@ from typing import Optional
 
 try:  # gmpy2's C rationals cut exact-arithmetic time by an order of magnitude
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency in practice
+except ImportError:  # optional: without gmpy2, Fraction is the rational backend
     _Q = Fraction
 
 logger = logging.getLogger(__name__)
 
-Rational = Fraction
 RATIONAL_TYPES = (int, Fraction, type(_Q(1)))
 
 NEAR_ZERO_EVAL = 1e-12

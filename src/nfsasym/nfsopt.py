@@ -1,6 +1,7 @@
 """The optimization core: expansion of the parameter constraint over an
-unknown-coefficient ring, and the guess / prove-existence / prove-minimality
-algorithms for the asymptotic series of the minimizing parameters.
+unknown-coefficient ring, the solving schedule whose log proves the
+asymptotic series of the minimizing parameters term by term, and the
+existence certificates for its truncations.
 
 Setup.  The three parameter logs are normalized as
 
@@ -40,12 +41,20 @@ expanded constraint in graded-lex order then produces:
 
 Everything a proof step established is recorded in the ProofLog; failures
 carry the longest proven prefix.
+
+One pass.  The schedule reads nothing but the constraint and the values it
+has already pinned, and every step certifies its own square, boundary sign,
+half-integer zeros and vanishing below the target.  The log of the guessing
+pass is therefore the minimality proof: compute_proven_expansion(n) walks the
+schedule once, through degree n+1, certifies existence at degrees 1..n, and
+checks the P2 -> P3 adjacency on that same log.  prove_minimality derives
+the log afresh to check a candidate that came from elsewhere.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -98,10 +107,9 @@ class ExistenceFailure(NfsoptError):
 
 
 class MinimalityFailure(NfsoptError):
-    def __init__(self, record: FailureRecord, partial=None):
+    def __init__(self, record: FailureRecord):
         super().__init__(record.message)
         self.record = record
-        self.partial = partial
 
 
 class ContradictionError(NfsoptError):
@@ -433,7 +441,7 @@ def build_constraint(
     """
     ring = A.ring
     if q_order is None:
-        q_order = int(order) + DEFAULT_Q_MARGIN
+        q_order = _q_order(int(order))
     q = q_truncation(q_order)
     if ring is not LOG_RING:
         q = q.map_coefficients(ring, ring.from_logconst)
@@ -529,6 +537,12 @@ class _State:
         )
 
 
+def _q_order(order: int, cap: Optional[int] = None) -> int:
+    # smoothness order for an expansion at `order`: the Q-series margin, capped
+    q_order = order + DEFAULT_Q_MARGIN
+    return q_order if cap is None else min(q_order, cap)
+
+
 def _integer_targets(k: int) -> list[tuple]:
     # doubled exponents of degree-k integer monomials, graded-lex (X-heavy first)
     return [(2 * (k - i), 2 * i) for i in range(k + 1)]
@@ -548,14 +562,7 @@ def _exact_sign(value: LogConstant, context: str) -> int:
     return 1 if v > 0 else -1
 
 
-def _solve_target(
-    state: _State,
-    target: tuple,
-    order: int,
-    q_order: int,
-    stage: str,
-    expected: Optional[CandidateExpansion],
-) -> None:
+def _solve_target(state: _State, target: tuple, q_order: int) -> None:
     """Run one schedule step: attach unknowns, expand, pin coefficients."""
     ring = UNKNOWN_RING
     k = (target[0] + target[1]) // 2
@@ -581,13 +588,11 @@ def _solve_target(
     audit: list = []
     series = build_constraint(A_trial, B_trial, D_trial, k, q_order=q_order, audit=audit).series
 
-    fail_cls = {"guess": GuessFailure, "minimality": MinimalityFailure}[stage]
-
     def fail(message, mono=None, detail=""):
         record = FailureRecord(
-            stage, k, _frac_pair(mono) if mono else _frac_pair(target), message, detail
+            "guess", k, _frac_pair(mono) if mono else _frac_pair(target), message, detail
         )
-        raise fail_cls(record, partial=state.candidate(k - 1, "guessed"))
+        raise GuessFailure(record, partial=state.candidate(k - 1, "guessed"))
 
     solved: dict[Symbol, LogConstant] = {}
     deferred: list[tuple[tuple, UnknownPoly]] = []
@@ -616,12 +621,10 @@ def _solve_target(
         want = expected_value(sym)
         if want is not None and value != want:
             raise ContradictionError(FailureRecord(
-                stage, k, _frac_pair(mono),
+                "guess", k, _frac_pair(mono),
                 f"pinned {_symbol_name(sym)} = {value} but the a=b fill expects {want}",
                 detail=str(poly),
             ))
-        if expected is not None:
-            _check_against(expected, sym, value, stage, k, mono)
         solved[sym] = value
         pinned_by[sym[0]] = pinned_by[sym[0]] or "linear"
         pendings.append((_frac_pair(mono), f"pinned {_symbol_name(sym)} = {value}"))
@@ -655,8 +658,7 @@ def _solve_target(
         if mono == target:
             step_record = _solve_square(
                 state, poly, target, slot, slot_is_integer,
-                a_sym, b_sym, d_sym, solved, pinned_by,
-                expected, stage, k, fail,
+                a_sym, b_sym, d_sym, solved, pinned_by, fail,
             )
             drain_deferred()
         elif poly.is_constant():
@@ -695,8 +697,7 @@ def _solve_target(
 
 def _solve_square(
     state, poly, target, slot, slot_is_integer,
-    a_sym, b_sym, d_sym, solved, pinned_by,
-    expected, stage, k, fail,
+    a_sym, b_sym, d_sym, solved, pinned_by, fail,
 ) -> ProofStep:
     """Check the canonical quadratic shape at the target and pin values."""
     strays = poly.unknowns() - {a_sym, b_sym, d_sym}
@@ -767,11 +768,6 @@ def _solve_square(
                 fail(f"half-integer {name} slot pinned to a nonzero value {val}",
                      detail=str(poly))
 
-    if expected is not None:
-        _check_against(expected, a_sym, a_value, stage, k, target)
-        _check_against(expected, b_sym, b_value, stage, k, target)
-        _check_against(expected, d_sym, d_value, stage, k, target)
-
     i, j = _frac_pair(target)
     return ProofStep(
         target=(i, j),
@@ -792,22 +788,15 @@ def _frac_pair(mono: tuple) -> tuple:
     return (Fraction(mono[0], 2), Fraction(mono[1], 2))
 
 
-def _check_against(cand: CandidateExpansion, sym: Symbol, value: LogConstant,
-                   stage: str, degree, mono) -> None:
-    kind, dx, dy = sym[0], sym[1], sym[2]
-    i, j = Fraction(dx, 2), Fraction(dy, 2)
-    if kind == "a":
-        want = cand.A.coefficient(i, j)
-    elif kind == "b":
-        want = cand.A.coefficient(i, j) if 2 * i + 2 * j <= 2 * cand.degA else None
-    else:
-        want = cand.D.coefficient(i, j) if i + j <= cand.degD else None
-    if want is not None and value != want:
-        raise ContradictionError(FailureRecord(
-            stage, degree, _frac_pair(mono),
-            f"proven limit for {_symbol_name(sym)} is {value},"
-            f" contradicting the guessed {want}",
-        ))
+def _run_schedule(n: int, q_order_cap: Optional[int] = None) -> _State:
+    """Solve every integer target of A through degree n+1, in schedule order."""
+    state = _State()
+    for k in range(1, n + 2):
+        q_order = _q_order(k, q_order_cap)
+        for target in _integer_targets(k):
+            _solve_target(state, target, q_order)
+    _check_generators()
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -815,24 +804,18 @@ def _check_against(cand: CandidateExpansion, sym: Symbol, value: LogConstant,
 # ---------------------------------------------------------------------------
 
 def guess_terms(n: int, q_order_cap: Optional[int] = None) -> CandidateExpansion:
-    """Guess the expansions of the minimizing parameters for a degree-n run.
+    """Walk the solving schedule for a degree-n run and return its candidate.
 
     The slot schedule trails the targets at half their degree, so pinning
     B through degree n and D through degree (n+1)/2 requires targeting A's
     monomials through degree n+1; the returned candidate carries all of it
-    (degA = n+1, degB = n, degD = (n+1)/2), everything with status guessed.
+    (degA = n+1, degB = n, degD = (n+1)/2) with status guessed.  Its
+    guess_log is the full proof log of the run: compute_proven_expansion
+    adds only the existence certificates and the P2 -> P3 adjacency check.
     """
     if n < 1:
         raise ValueError("guess_terms needs n >= 1")
-    state = _State()
-    for k in range(1, n + 2):
-        q_order = k + DEFAULT_Q_MARGIN
-        if q_order_cap is not None:
-            q_order = min(q_order, q_order_cap)
-        for target in _integer_targets(k):
-            _solve_target(state, target, k, q_order, "guess", None)
-    _check_generators()
-    return state.candidate(n + 1, "guessed")
+    return _run_schedule(n, q_order_cap).candidate(n + 1, "guessed")
 
 
 def prove_existence(n: int, cand: CandidateExpansion,
@@ -845,9 +828,7 @@ def prove_existence(n: int, cand: CandidateExpansion,
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
     ring = UNKNOWN_RING
     order = n + 2
-    q_order = order + DEFAULT_Q_MARGIN
-    if q_order_cap is not None:
-        q_order = min(q_order, q_order_cap)
+    q_order = _q_order(order, q_order_cap)
     lift = ring.from_logconst
     t_sym: Symbol = ("t",)
 
@@ -893,58 +874,69 @@ def prove_existence(n: int, cand: CandidateExpansion,
 def prove_minimality(n: int, cand: CandidateExpansion,
                      cert: ExistenceCertificate,
                      q_order_cap: Optional[int] = None) -> ProofLog:
-    """Replay the schedule through degree n+1, verifying the pattern shapes
-    and that every pinned limit equals the guessed coefficient."""
+    """Check a supplied candidate against a freshly derived proof log.
+
+    The schedule is walked once through degree n+1, independently of cand;
+    then, step by step, the solved A coefficient at the target, A at an
+    integer slot (the a = b value of B) and D at the slot must equal cand's.
+    The first mismatch raises ContradictionError; otherwise the derived log
+    is returned.  compute_proven_expansion does not call this: its own
+    schedule pass is the proof.
+    """
     if cert.degree < n:
         raise ValueError(f"existence certified only at degree {cert.degree}, need {n}")
     if cand.degA < n + 1:
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
-    state = _State()
-    for k in range(1, n + 2):
-        q_order = k + DEFAULT_Q_MARGIN
-        if q_order_cap is not None:
-            q_order = min(q_order, q_order_cap)
-        for target in _integer_targets(k):
-            _solve_target(state, target, k, q_order, "minimality", cand)
-    log = state.log
-    if not log.check_pattern_adjacency():
-        raise MinimalityFailure(FailureRecord(
-            "minimality", n, None,
-            f"pattern sequence violates the P2->P3 adjacency rule: {log.pattern_sequence()}",
-        ), partial=state.candidate(n + 1, "guessed"))
-    _check_generators()
+    log = _run_schedule(n, q_order_cap).log
+    _check_adjacency(log, n)
+    for step in log.steps:
+        checks = [("A", step.target, step.kappa_a, cand.A)]
+        if step.slot_is_integer:
+            checks.append(("B", step.slot, step.b_value, cand.A))
+        checks.append(("D", step.slot, step.d_value, cand.D))
+        for name, (i, j), proven, series in checks:
+            supplied = series.coefficient(i, j)
+            if proven != supplied:
+                raise ContradictionError(FailureRecord(
+                    "minimality", int(sum(step.target)), step.target,
+                    f"proven limit for {name}[{i},{j}] is {proven},"
+                    f" contradicting the supplied {supplied}",
+                ))
     return log
 
 
 def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> ExpansionResult:
-    """Guess to degree n+1, certify existence at degrees 1..n, prove
-    minimality; B is reported one degree behind A and D at half degree."""
+    """Prove the degree-n expansion in one schedule pass.
+
+    guess_terms(n) solves A through degree n+1 and its log is the proof
+    log; existence is certified at degrees 1..n and the log must satisfy
+    the P2 -> P3 adjacency rule.  B is reported one degree behind A and D
+    at half degree.
+    """
     if n < 2:
         raise ValueError("compute_proven_expansion needs n >= 2")
     certificates: list[ExistenceCertificate] = []
     cand: Optional[CandidateExpansion] = None
     try:
-        cand = guess_terms(n + 1, q_order_cap=q_order_cap)
+        cand = guess_terms(n, q_order_cap=q_order_cap)
         for k in range(1, n + 1):
             certificates.append(prove_existence(k, cand, q_order_cap=q_order_cap))
-        log = prove_minimality(n, cand, certificates[-1], q_order_cap=q_order_cap)
-    except (GuessFailure, MinimalityFailure) as exc:
-        partial = exc.partial if exc.partial is not None else _empty_candidate()
-        return ExpansionResult(partial, partial.guess_log, certificates, failure=exc.record)
-    except (ExistenceFailure, ContradictionError) as exc:
+        _check_adjacency(cand.guess_log, n)
+    except GuessFailure as exc:
+        return ExpansionResult(exc.partial, exc.partial.guess_log, certificates, failure=exc.record)
+    except (ExistenceFailure, MinimalityFailure, ContradictionError) as exc:
         partial = cand if cand is not None else _empty_candidate()
         return ExpansionResult(partial, partial.guess_log, certificates, failure=exc.record)
+    proven = replace(cand, status="minimality-proven")
+    return ExpansionResult(proven, proven.guess_log, certificates)
 
-    proven = CandidateExpansion(
-        A=cand.A.truncate(n + 1),
-        B=cand.A.truncate(n),
-        D=cand.D.truncate(Fraction(n + 1, 2)),
-        degA=n + 1, degB=n, degD=Fraction(n + 1, 2),
-        status="minimality-proven",
-        b_pinned=cand.b_pinned,
-        guess_log=cand.guess_log,
-    )
-    return ExpansionResult(proven, log, certificates)
+
+def _check_adjacency(log: ProofLog, n: int) -> None:
+    if not log.check_pattern_adjacency():
+        raise MinimalityFailure(FailureRecord(
+            "minimality", n, None,
+            f"pattern sequence violates the P2->P3 adjacency rule: {log.pattern_sequence()}",
+        ))
 
 
 def _empty_candidate() -> CandidateExpansion:

@@ -489,32 +489,8 @@ def _compact_logconst(c: LogConstant) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases and the Delta derivation
+# Float evaluation alias and the Delta derivation
 # ---------------------------------------------------------------------------
-
-def series_add(a: TruncatedBiSeries, b: TruncatedBiSeries) -> TruncatedBiSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedBiSeries, b: TruncatedBiSeries) -> TruncatedBiSeries:
-    return a * b
-
-
-def series_neg(a: TruncatedBiSeries) -> TruncatedBiSeries:
-    return -a
-
-
-def series_inverse(a: TruncatedBiSeries) -> TruncatedBiSeries:
-    return a.inverse()
-
-
-def series_log(a: TruncatedBiSeries) -> TruncatedBiSeries:
-    return a.log()
-
-
-def series_exp(a: TruncatedBiSeries) -> TruncatedBiSeries:
-    return a.exp()
-
 
 def series_eval_f64(a: TruncatedBiSeries, x: float, y: float) -> float:
     return a.eval_f64(x, y)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nfsasym import nfsopt
 from nfsasym.exact import LogConstant, generators_seen
 from nfsasym.nfsopt import (
     CandidateExpansion, ContradictionError, ExistenceFailure,
@@ -170,6 +171,18 @@ class TestProveMinimality:
         with pytest.raises(ContradictionError):
             prove_minimality(1, bad, cert)
 
+    def test_d_mismatch_contradicts(self):
+        cand = guess_terms(2)
+        cert = prove_existence(1, cand)
+        terms = dict(cand.D.terms)
+        terms[(0, 2)] = terms[(0, 2)] + 1  # tamper with d01
+        bad = CandidateExpansion(
+            A=cand.A, B=cand.B, D=TruncatedBiSeries(LOG_RING, cand.D.order, terms),
+            degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
+        )
+        with pytest.raises(ContradictionError):
+            prove_minimality(1, bad, cert)
+
     def test_a_equals_b_streams(self):
         cand = guess_terms(3)
         cert = prove_existence(3, cand)
@@ -224,6 +237,28 @@ class TestComputeProvenExpansion:
 
     def test_proof_log_adjacency(self, cpe2):
         assert cpe2.proof_log.check_pattern_adjacency()
+
+    def test_one_schedule_pass(self, monkeypatch):
+        # 9 schedule steps (A's targets through degree 3) + 2 existence
+        # certificates; a replayed schedule or a degree-4 layer would add more
+        calls = 0
+        build = nfsopt.build_constraint
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(nfsopt, "build_constraint", counting)
+        assert compute_proven_expansion(2).ok
+        assert calls == 11
+
+    def test_proof_log_matches_minimality_replay(self, cpe2):
+        cand = guess_terms(2)
+        certs = [prove_existence(k, cand) for k in (1, 2)]
+        log = prove_minimality(2, cand, certs[-1])
+        assert cpe2.proof_log.steps == log.steps  # every ProofStep field
+        assert cpe2.certificates == certs
 
     def test_absorption_events_recorded(self, cpe2):
         assert all(step.absorptions for step in cpe2.proof_log.steps)
