@@ -7,11 +7,11 @@ resulting truncations.
 
 from .exact import (
     LogConstant, RadicalScale,
-    log_of_rational, logconst_eval_f64, scale_log, scale_ratio_as_rational,
+    log_of_rational, scale_log, scale_ratio_as_rational,
 )
 from .pseries import (
     TruncatedBiSeries, LOG_RING,
-    delta, neumann_inverse_one_plus_delta, series_eval_f64,
+    delta, neumann_inverse_one_plus_delta,
 )
 from .dickman import (
     PSeries, QSeries, RhoValue,

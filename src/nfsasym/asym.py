@@ -193,41 +193,38 @@ def asym_log(f: ScaledAsymptotic) -> ScaledAsymptotic:
     return ScaledAsymptotic(RadicalScale.one(), 0, 1, _log_series(f))
 
 
+def _xy_series(f: ScaledAsymptotic):
+    """(X(f), Y(f), G) with log f = log nu * G: Y(f) = Y/G and
+    X(f) = (X + Y*log G)/G."""
+    if f.nu_exp <= 0:
+        raise AsymError(f"X(f), Y(f) expansion needs nu exponent > 0, got {f.nu_exp}")
+    g = _log_series(f)
+    g_inv = g.inverse()
+    order = Fraction(g.order2, 2)
+    ys = g_inv.shift(0, 1).truncate(order)
+    xs = (TruncatedBiSeries.x(g.ring, order) + g.log().shift(0, 1).truncate(order)) * g_inv
+    return xs, ys, g
+
+
 def y_of(f: ScaledAsymptotic) -> TruncatedBiSeries:
     """The series of Y(f) = 1/log f."""
-    if f.nu_exp <= 0:
-        raise AsymError(f"Y(f) expansion needs nu exponent > 0, got {f.nu_exp}")
-    g = _log_series(f)
-    return g.inverse().shift(0, 1).truncate(Fraction(g.order2, 2))
+    return _xy_series(f)[1]
 
 
 def x_of(f: ScaledAsymptotic) -> TruncatedBiSeries:
     """The series of X(f) = loglog f / log f."""
-    if f.nu_exp <= 0:
-        raise AsymError(f"X(f) expansion needs nu exponent > 0, got {f.nu_exp}")
-    g = _log_series(f)
-    ring = g.ring
-    order = Fraction(g.order2, 2)
-    x = TruncatedBiSeries.x(ring, order)
-    numer = x + g.log().shift(0, 1).truncate(order)
-    return numer * g.inverse()
+    return _xy_series(f)[0]
 
 
 def p_of(u: ScaledAsymptotic, n: int, q: Optional[TruncatedBiSeries] = None) -> ScaledAsymptotic:
     """Log smoothness probability -u log u * Q^(n)(X(u), Y(u)) of e^u at bound
     e^b with u the size ratio; returns an element at (alpha, beta + 1)."""
-    if u.nu_exp <= 0:
-        raise AsymError("p_of needs an element with positive nu exponent")
+    xs, ys, g = _xy_series(u)
     ring = u.series.ring
     if q is None:
         q = q_truncation(n)
     if q.ring is not ring:
         q = q.map_coefficients(ring, ring.from_logconst)
-    g = _log_series(u)
-    g_inv = g.inverse()
-    order = Fraction(g.order2, 2)
-    ys = g_inv.shift(0, 1).truncate(order)
-    xs = (TruncatedBiSeries.x(ring, order) + g.log().shift(0, 1).truncate(order)) * g_inv
     composed = q.compose(xs, ys)
     return ScaledAsymptotic(
         u.scale, u.nu_exp, u.lognu_exp + 1, -(u.series * g * composed)

@@ -1,7 +1,7 @@
-"""Expansion cache: JSON files holding the exact A, B, D coefficient maps
-plus a proof-log summary.  A loaded cache is never trusted blindly: the
-constraint-vanishing invariant is re-verified before use, so a tampered or
-stale file fails loudly.
+"""Expansion cache: JSON files ``expansion_deg{d}.json``, written atomically,
+holding the exact A, B, D coefficient maps plus a proof-log summary.  Every
+load re-verifies the constraint-vanishing invariant, so a tampered or stale
+file fails loudly; ``load_proven`` verifies only the file it picks.
 """
 
 from __future__ import annotations
@@ -87,11 +87,16 @@ def save_expansion(result: ExpansionResult, path: Optional[Path] = None) -> Path
         "proof_log": _proof_summary(result.proof_log),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path.write_text(json.dumps(payload, indent=1))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # outside the cache glob
+    try:
+        tmp.write_text(json.dumps(payload, indent=1))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
-def load_expansion(path: Path, verify: bool = True) -> CandidateExpansion:
+def load_expansion(path: Path) -> CandidateExpansion:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -110,9 +115,28 @@ def load_expansion(path: Path, verify: bool = True) -> CandidateExpansion:
         degD=Fraction(payload["deg_d"]),
         status=str(payload["status"]),
     )
-    if verify:
-        verify_expansion(cand, source=str(path))
+    verify_expansion(cand, source=str(path))
     return cand
+
+
+def load_proven(min_degree: int) -> Optional[CandidateExpansion]:
+    """The cached expansion of the smallest degree >= min_degree that loads
+    and re-verifies, or None.  Files are tried in ascending order of the
+    degree in their name, and only until one passes; a file that fails, or
+    whose payload degree disagrees with its name, is skipped."""
+    named = []
+    for path in cache_dir().glob("expansion_deg*.json"):
+        digits = path.stem.removeprefix("expansion_deg")
+        if digits.isdecimal() and int(digits) >= min_degree:
+            named.append((int(digits), path))
+    for degree, path in sorted(named):
+        try:
+            cand = load_expansion(path)
+        except CacheError:
+            continue
+        if cand.degA == degree:
+            return cand
+    return None
 
 
 def verify_expansion(cand: CandidateExpansion, source: str = "cache") -> None:

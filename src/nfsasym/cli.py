@@ -3,7 +3,8 @@
 Commands: expand, rho, radius, xi, figure, keysize.  Exit codes: 0 success,
 2 algorithm failure (the partial result is still written), 1 usage or
 internal error.  The expansion cache lives under NFSASY_CACHE_DIR (or
-~/.cache/nfsasym) and is re-verified on load.
+~/.cache/nfsasym); xi, keysize and figure read the smallest cached degree
+they can use, re-verify that file, and skip any file that fails.
 """
 
 from __future__ import annotations
@@ -173,22 +174,13 @@ def _cmd_radius(args) -> int:
 
 
 def _load_proven(min_degree: int) -> CandidateExpansion:
-    best: CandidateExpansion | None = None
-    directory = cachemod.cache_dir()
-    if directory.is_dir():
-        for path in sorted(directory.glob("expansion_deg*.json")):
-            try:
-                cand = cachemod.load_expansion(path)
-            except cachemod.CacheError:
-                continue
-            if cand.degA >= min_degree and (best is None or cand.degA < best.degA):
-                best = cand
-    if best is None:
+    cand = cachemod.load_proven(min_degree)
+    if cand is None:
         raise UsageError(
             f"no cached proven expansion of degree >= {min_degree};"
             f" run `nfsasym expand --degree {max(min_degree, 2)} --prove` first"
         )
-    return best
+    return cand
 
 
 def _cmd_xi(args) -> int:

@@ -109,24 +109,16 @@ class RhoValue:
 
 
 def p_series_recurrence(n: int) -> PSeries:
-    """P_0 = 1, then P_{k+1} = trunc_{k+1}[1 + X - Y*sum_{i=1..k} (-1)^i (P_k-1)^i / i]."""
+    """P_0 = 1, then P_{k+1} = trunc_{k+1}[1 + X + Y*log P_k]."""
     if n < 0:
         raise DomainError("series order must be >= 0")
     ring = LOG_RING
     p = TruncatedBiSeries.one(ring, 0)
     for k in range(n):
         order = k + 1
-        one = TruncatedBiSeries.one(ring, order)
-        pk = p.with_order(order)  # iterate is polynomial, exact at any order
-        u = pk - one
-        acc = TruncatedBiSeries.zero(ring, order)
-        power = one
-        for i in range(1, k + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction((-1) ** i, i))
-        p = one + TruncatedBiSeries.x(ring, order) - TruncatedBiSeries.y(ring, order) * acc
+        # the iterate is polynomial, so it is exact at any order
+        p = (TruncatedBiSeries.one(ring, order) + TruncatedBiSeries.x(ring, order)
+             + TruncatedBiSeries.y(ring, order) * p.with_order(order).log())
     return PSeries(p.with_order(n), "recurrence")
 
 

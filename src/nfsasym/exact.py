@@ -662,7 +662,3 @@ def scale_ratio_as_rational(s1: RadicalScale, s2: RadicalScale) -> Optional[Frac
     if ratio.exps:
         return None
     return ratio.coeff
-
-
-def logconst_eval_f64(c: LogConstant) -> float:
-    return c.eval_f64()

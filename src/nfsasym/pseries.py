@@ -489,12 +489,8 @@ def _compact_logconst(c: LogConstant) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Float evaluation alias and the Delta derivation
+# The Delta derivation
 # ---------------------------------------------------------------------------
-
-def series_eval_f64(a: TruncatedBiSeries, x: float, y: float) -> float:
-    return a.eval_f64(x, y)
-
 
 def delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
     """The derivation with Delta X = Y(Y-X), Delta Y = -Y^2 on monomials:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import shutil
 
 import pytest
 
@@ -81,6 +83,66 @@ class TestCacheRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(cachemod.CacheError):
             load_expansion(path)
+
+
+    def test_write_is_atomic(self, cache_env, cpe2, monkeypatch):
+        path = save_expansion(cpe2)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError):
+            save_expansion(cpe2)
+        assert path.read_bytes() == before
+        assert list(path.parent.glob("expansion_deg*.json")) == [path]
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    calls = []
+    real = cachemod.verify_expansion
+
+    def counting(cand, source="cache"):
+        calls.append(source)
+        return real(cand, source)
+
+    monkeypatch.setattr(cachemod, "verify_expansion", counting)
+    return calls
+
+
+class TestCacheReadPath:
+    def test_verifies_only_the_chosen_file(self, capsys, cache_env, cpe2, verify_calls):
+        path = save_expansion(cpe2)
+        _, alone, _ = run(capsys, "xi", "--degree", "1", "--bits", "2048")
+        shutil.copy(path, cachemod.cache_path(4))
+        verify_calls.clear()
+        code, out, _ = run(capsys, "xi", "--degree", "1", "--bits", "2048")
+        assert code == 0 and out == alone
+        assert verify_calls == [str(path)]
+        # the copy names degree 4 but holds degree 3: skipped, nothing else qualifies
+        code, _, err = run(capsys, "xi", "--degree", "4", "--bits", "2048")
+        assert code == 1 and "usage error" in err
+
+    def test_tampered_file_falls_through(self, capsys, cache_env, cpe2, cpe4, verify_calls):
+        small = save_expansion(cpe2)
+        large = save_expansion(cpe4)
+        _, clean, _ = run(capsys, "xi", "--degree", "1", "--bits", "2048")
+        payload = json.loads(small.read_text())
+        payload["A"]["terms"]["6,0"] = "(33/81)"
+        small.write_text(json.dumps(payload))
+        verify_calls.clear()
+        code, out, _ = run(capsys, "xi", "--degree", "1", "--bits", "2048")
+        assert code == 0 and out == clean
+        assert verify_calls == [str(small), str(large)]
+        assert cachemod.load_proven(1).degA == cpe4.candidate.degA
+
+    def test_unparseable_names_ignored(self, cache_env, cpe2):
+        path = save_expansion(cpe2)
+        shutil.copy(path, path.with_name("expansion_degX.json"))
+        path.unlink()
+        assert cachemod.load_proven(1) is None
 
 
 class TestNumericCommands:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nfsasym.exact import (
     EvalError, ExactError, LogConstant, NearZeroWarning, RadicalScale,
     factor_positive_rational, generators_seen, log_of_rational,
-    logconst_eval_f64, restore_generator_registry, scale_log,
+    restore_generator_registry, scale_log,
     scale_ratio_as_rational, snapshot_generator_registry,
     unexpected_generator_events,
 )
@@ -102,16 +102,16 @@ class TestScales:
 
 class TestEvalF64:
     def test_examples(self):
-        assert abs(logconst_eval_f64(L2) - 0.6931471805599453) < 1e-15
-        assert abs(logconst_eval_f64(L2 * 3 - L3 * 2) - math.log(8 / 9)) < 1e-15
+        assert abs(L2.eval_f64() - 0.6931471805599453) < 1e-15
+        assert abs((L2 * 3 - L3 * 2).eval_f64() - math.log(8 / 9)) < 1e-15
         a01 = L2 * (-2) + L3 * Fraction(1, 6) - 2
-        assert abs(logconst_eval_f64(a01) - (-3.203192)) < 1e-6
+        assert abs(a01.eval_f64() - (-3.203192)) < 1e-6
 
     def test_agrees_with_float_log(self):
         rng = random.Random(11)
         for _ in range(100):
             q = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-            got = logconst_eval_f64(log_of_rational(q))
+            got = log_of_rational(q).eval_f64()
             if got == 0.0 and q == 1:
                 continue
             assert abs(got - math.log(q)) <= 1e-12 * max(abs(math.log(q)), 1.0)

@@ -7,7 +7,7 @@ import pytest
 from nfsasym.exact import LogConstant
 from nfsasym.pseries import (
     LOG_RING, SeriesError, SingularSeriesError, TruncatedBiSeries,
-    delta, neumann_inverse_one_plus_delta, series_eval_f64,
+    delta, neumann_inverse_one_plus_delta,
 )
 
 from conftest import random_series
@@ -189,10 +189,10 @@ class TestNumericalDerivativeIdentity:
 class TestEvalAndRendering:
     def test_eval_example(self):
         s = one(1) + X(1) - Y(1)
-        assert series_eval_f64(s, 0.1, 0.05) == pytest.approx(1.05, abs=1e-15)
+        assert s.eval_f64(0.1, 0.05) == pytest.approx(1.05, abs=1e-15)
 
     def test_eval_zero(self):
-        assert series_eval_f64(TruncatedBiSeries.zero(R, 3), 0.3, 0.9) == 0.0
+        assert TruncatedBiSeries.zero(R, 3).eval_f64(0.3, 0.9) == 0.0
 
     def test_rendering(self):
         a01 = LogConstant.gen(2) * (-2) + LogConstant.gen(3) * Fraction(1, 6) - 2
