@@ -18,11 +18,16 @@ the scale of a.  Each coefficient of the resulting series is an exact
 polynomial (of degree <= 2) in the currently unknown coefficients.
 
 Solving schedule.  A's monomials are targeted one at a time in graded-lex
-order (X before Y).  At target m the fresh unknowns are abar at m of A and
-bbar, dbar at sqrt(m) of B and D; every other coefficient of B below the
-target is filled in from A (the a = b working assumption of the guessing
-algorithm), and D carries only its already-pinned slots.  Walking the
-expanded constraint in graded-lex order then produces:
+order (X before Y), one degree layer after the other.  The constraint is
+expanded once per layer k, with every unknown of the layer attached: abar
+at each degree-k target m of A and B's a = b copy of it there, and bbar,
+dbar at each slot sqrt(m) of B and D.  The step at target m substitutes
+into that one expansion: targets solved earlier in the layer take their
+values, later targets take 0, the other slots take A's value in B and the
+pinned D value (or 0) in D, and only abar at m and bbar, dbar at sqrt(m)
+stay free.  Below the layer B is filled in from A (the a = b working
+assumption of the guessing algorithm), and D carries only its pinned
+slots.  Walking the substituted constraint in graded-lex order produces:
 
 * below m, coefficients that vanish identically or pin bbar / dbar through
   a linear equation (these encode the remainder-class upgrades; a pinned
@@ -47,13 +52,14 @@ has already pinned, and every step certifies its own square, boundary sign,
 half-integer zeros and vanishing below the target.  The log of the guessing
 pass is therefore the minimality proof: compute_proven_expansion(n) walks the
 schedule once, through degree n+1, certifies existence at degrees 1..n, and
-checks the P2 -> P3 adjacency on that same log.  prove_minimality derives
-the log afresh to check a candidate that came from elsewhere.
+checks the P2 -> P3 adjacency on that same log.  That is n+1 layer
+expansions and n existence expansions, 2n+1 in all.  Every step of a layer
+shares the layer's absorption audit.  prove_minimality derives the log
+afresh to check a candidate that came from elsewhere.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -63,10 +69,8 @@ from .asym import (
     nu_element, p_of, scale_a, scale_d,
 )
 from .dickman import q_truncation
-from .exact import LogConstant, generators_seen, scale_ratio_as_rational
+from .exact import LogConstant, scale_ratio_as_rational
 from .pseries import LOG_RING, TruncatedBiSeries, _grlex_key
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_Q_MARGIN = 2
 SIGN_CHECK_EPS = 1e-12
@@ -93,31 +97,29 @@ class UnknownShapeError(NfsoptError):
     """Constraint expansion left the quadratic-in-unknowns regime."""
 
 
-class GuessFailure(NfsoptError):
+class ProofFailure(NfsoptError):
+    """A proof stage failed: record says where, partial is the proven prefix."""
+
     def __init__(self, record: FailureRecord, partial=None):
         super().__init__(record.message)
         self.record = record
         self.partial = partial
 
 
-class ExistenceFailure(NfsoptError):
-    def __init__(self, record: FailureRecord):
-        super().__init__(record.message)
-        self.record = record
+class GuessFailure(ProofFailure):
+    pass
 
 
-class MinimalityFailure(NfsoptError):
-    def __init__(self, record: FailureRecord):
-        super().__init__(record.message)
-        self.record = record
+class ExistenceFailure(ProofFailure):
+    pass
 
 
-class ContradictionError(NfsoptError):
+class MinimalityFailure(ProofFailure):
+    pass
+
+
+class ContradictionError(ProofFailure):
     """A proven limit disagrees with the guessed coefficient."""
-
-    def __init__(self, record: FailureRecord):
-        super().__init__(record.message)
-        self.record = record
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +404,6 @@ class CandidateExpansion:
     b_pinned: dict = field(default_factory=dict)   # doubled exponents -> LogConstant
     guess_log: ProofLog = field(default_factory=ProofLog)
 
-    def a_coefficient(self, i, j) -> LogConstant:
-        return self.A.coefficient(i, j)
-
     def d_coefficient(self, i, j) -> LogConstant:
         return self.D.coefficient(i, j)
 
@@ -562,9 +561,36 @@ def _exact_sign(value: LogConstant, context: str) -> int:
     return 1 if v > 0 else -1
 
 
-def _solve_target(state: _State, target: tuple, q_order: int) -> None:
-    """Run one schedule step: attach unknowns, expand, pin coefficients."""
+def _layer_symbols(k: int) -> list[Symbol]:
+    # the unknowns of degree layer k: A and B's a = b copy of it at each
+    # target, B and D at the target's slot
+    out = []
+    for t in _integer_targets(k):
+        s = (t[0] // 2, t[1] // 2)
+        out += [("a", *t), ("b", *t), ("b", *s), ("d", *s)]
+    return out
+
+
+def _expand_layer(state: _State, k: int, q_order: int) -> tuple[TruncatedBiSeries, list]:
+    """Expand the constraint once for layer k, every layer unknown attached.
+
+    Returns the series and the absorption audit every step of the layer shares.
+    """
     ring = UNKNOWN_RING
+    lift = ring.from_logconst
+    a_terms = {m: lift(c) for m, c in state.A.items()}
+    terms = {"a": a_terms, "b": dict(a_terms), "d": {m: lift(c) for m, c in state.D.items()}}
+    for sym in _layer_symbols(k):
+        terms[sym[0]][sym[1:]] = UnknownPoly.from_symbol(sym)
+    trials = [TruncatedBiSeries(ring, k, terms[kind]) for kind in "abd"]
+    audit: list = []
+    series = build_constraint(*trials, k, q_order=q_order, audit=audit).series
+    return series, [ev.describe() for ev in audit]
+
+
+def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
+                  target: tuple) -> None:
+    """Run one schedule step: substitute into the layer, pin coefficients."""
     k = (target[0] + target[1]) // 2
     slot = (target[0] // 2, target[1] // 2)
     slot_is_integer = slot[0] % 2 == 0 and slot[1] % 2 == 0
@@ -573,20 +599,13 @@ def _solve_target(state: _State, target: tuple, q_order: int) -> None:
     b_sym: Symbol = ("b", *slot)
     d_sym: Symbol = ("d", *slot)
 
-    lift = ring.from_logconst
-    a_terms = {m: lift(c) for m, c in state.A.items()}
-    a_terms[target] = UnknownPoly.from_symbol(a_sym)
-    b_terms = {m: lift(c) for m, c in state.A.items() if m != slot}
-    b_terms[slot] = UnknownPoly.from_symbol(b_sym)
-    d_terms = {m: lift(c) for m, c in state.D.items() if m != slot}
-    d_terms[slot] = UnknownPoly.from_symbol(d_sym)
-
-    A_trial = TruncatedBiSeries(ring, k, a_terms)
-    B_trial = TruncatedBiSeries(ring, k, b_terms)
-    D_trial = TruncatedBiSeries(ring, k, d_terms)
-
-    audit: list = []
-    series = build_constraint(A_trial, B_trial, D_trial, k, q_order=q_order, audit=audit).series
+    # the step's own a, b, d stay free; every other layer unknown takes its
+    # known value: A (and B's a = b fill) as solved so far, D as pinned, else 0
+    zero = LogConstant.zero()
+    solved: dict[Symbol, LogConstant] = {
+        sym: (state.D if sym[0] == "d" else state.A).get(sym[1:], zero)
+        for sym in _layer_symbols(k) if sym not in (a_sym, b_sym, d_sym)
+    }
 
     def fail(message, mono=None, detail=""):
         record = FailureRecord(
@@ -594,17 +613,9 @@ def _solve_target(state: _State, target: tuple, q_order: int) -> None:
         )
         raise GuessFailure(record, partial=state.candidate(k - 1, "guessed"))
 
-    solved: dict[Symbol, LogConstant] = {}
     deferred: list[tuple[tuple, UnknownPoly]] = []
     pendings: list[tuple] = []
     pinned_by = {"b": None, "d": None}
-
-    def expected_value(sym: Symbol) -> Optional[LogConstant]:
-        kind = sym[0]
-        mono = (sym[1], sym[2])
-        if kind == "b":
-            return state.a_value_at(mono)
-        return None
 
     def try_linear(mono: tuple, poly: UnknownPoly) -> bool:
         unknowns = poly.unknowns()
@@ -618,8 +629,8 @@ def _solve_target(state: _State, target: tuple, q_order: int) -> None:
             )
         coeff = poly.coeff_linear(sym)
         value = -(poly.constant() / coeff)
-        want = expected_value(sym)
-        if want is not None and value != want:
+        want = state.a_value_at(sym[1:])
+        if sym[0] == "b" and value != want:
             raise ContradictionError(FailureRecord(
                 "guess", k, _frac_pair(mono),
                 f"pinned {_symbol_name(sym)} = {value} but the a=b fill expects {want}",
@@ -686,7 +697,7 @@ def _solve_target(state: _State, target: tuple, q_order: int) -> None:
                  detail=str(series.terms[mono].substitute(solved)))
 
     step_record.pendings = pendings
-    step_record.absorptions = [ev.describe() for ev in audit]
+    step_record.absorptions = list(absorptions)
     state.A[target] = solved[a_sym]
     if solved[d_sym]:
         state.D[slot] = solved[d_sym]
@@ -789,13 +800,13 @@ def _frac_pair(mono: tuple) -> tuple:
 
 
 def _run_schedule(n: int, q_order_cap: Optional[int] = None) -> _State:
-    """Solve every integer target of A through degree n+1, in schedule order."""
+    """Solve every integer target of A through degree n+1, in schedule order,
+    expanding the constraint once per degree layer."""
     state = _State()
     for k in range(1, n + 2):
-        q_order = _q_order(k, q_order_cap)
+        series, absorptions = _expand_layer(state, k, _q_order(k, q_order_cap))
         for target in _integer_targets(k):
-            _solve_target(state, target, q_order)
-    _check_generators()
+            _solve_target(state, series, absorptions, target)
     return state
 
 
@@ -922,10 +933,8 @@ def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> Expan
         for k in range(1, n + 1):
             certificates.append(prove_existence(k, cand, q_order_cap=q_order_cap))
         _check_adjacency(cand.guess_log, n)
-    except GuessFailure as exc:
-        return ExpansionResult(exc.partial, exc.partial.guess_log, certificates, failure=exc.record)
-    except (ExistenceFailure, MinimalityFailure, ContradictionError) as exc:
-        partial = cand if cand is not None else _empty_candidate()
+    except ProofFailure as exc:
+        partial = exc.partial or cand or _empty_candidate()
         return ExpansionResult(partial, partial.guess_log, certificates, failure=exc.record)
     proven = replace(cand, status="minimality-proven")
     return ExpansionResult(proven, proven.guess_log, certificates)
@@ -942,9 +951,3 @@ def _check_adjacency(log: ProofLog, n: int) -> None:
 def _empty_candidate() -> CandidateExpansion:
     state = _State()
     return state.candidate(0, "guessed")
-
-
-def _check_generators() -> None:
-    extra = generators_seen() - {2, 3}
-    if extra:
-        logger.warning("coefficients left Q(l2, l3): extra generators %s", sorted(extra))

@@ -161,12 +161,6 @@ class TruncatedBiSeries:
     def has_integer_exponents(self) -> bool:
         return all(dx % 2 == 0 and dy % 2 == 0 for dx, dy in self.terms)
 
-    def valuation2(self) -> int:
-        """Doubled total degree of the lowest term (order2 + 1 for zero)."""
-        if not self.terms:
-            return self.order2 + 1
-        return min(dx + dy for dx, dy in self.terms)
-
     def sorted_exponents(self) -> list[ExpPair]:
         return sorted(self.terms, key=_grlex_key)
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,18 @@ from nfsasym.pseries import LOG_RING, TruncatedBiSeries
 from conftest import L2, L3, reference_table
 
 F = Fraction
+
+
+def _proof_digest(result) -> str:
+    """sha256 of a canonical rendering of a proven expansion: str of A, B
+    and D, the sorted pinned B slots, and repr of every ProofStep and
+    certificate, one per line."""
+    cand = result.candidate
+    lines = [str(cand.A), str(cand.B), str(cand.D)]
+    lines += [repr(item) for item in sorted(cand.b_pinned.items())]
+    lines += [repr(step) for step in result.proof_log.steps]
+    lines += [repr(cert) for cert in result.certificates]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestUnknownPoly:
@@ -239,8 +252,9 @@ class TestComputeProvenExpansion:
         assert cpe2.proof_log.check_pattern_adjacency()
 
     def test_one_schedule_pass(self, monkeypatch):
-        # 9 schedule steps (A's targets through degree 3) + 2 existence
-        # certificates; a replayed schedule or a degree-4 layer would add more
+        # 3 layer expansions (A's targets of degrees 1..3) + 2 existence
+        # certificates; a per-target expansion, a replayed schedule or a
+        # degree-4 layer would add more
         calls = 0
         build = nfsopt.build_constraint
 
@@ -251,7 +265,22 @@ class TestComputeProvenExpansion:
 
         monkeypatch.setattr(nfsopt, "build_constraint", counting)
         assert compute_proven_expansion(2).ok
-        assert calls == 11
+        assert calls == 5
+
+    # Golden digests of _proof_digest, recorded with the schedule that
+    # expanded the constraint once per target (before the per-layer
+    # expansion).  Any change to how the schedule computes must reproduce
+    # them: they pin A, B, D, the pinned B slots, every ProofStep field
+    # (pendings and absorptions included) and every certificate.
+    def test_degree_3_golden_digest(self):
+        result = compute_proven_expansion(3)
+        assert result.ok, result.failure
+        assert _proof_digest(result) == (
+            "66a558fcc157eaffaf59012cf99fcec3036b85e41c4bb679be40d397d09b7997")
+
+    def test_degree_8_golden_digest(self, cpe8):
+        assert _proof_digest(cpe8) == (
+            "2f9573164c2c551bfe9114ee1093c205ac4d9a06b755aeb7c6b4f39640c0e4d0")
 
     def test_proof_log_matches_minimality_replay(self, cpe2):
         cand = guess_terms(2)
