@@ -76,11 +76,6 @@ def unexpected_generator_events() -> tuple[int, ...]:
     return tuple(_unexpected_generator_events)
 
 
-def reset_generator_registry() -> None:
-    _generators_seen.clear()
-    _unexpected_generator_events.clear()
-
-
 def snapshot_generator_registry() -> tuple:
     return (set(_generators_seen), list(_unexpected_generator_events))
 
@@ -155,8 +150,9 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_key(m: Monomial) -> tuple:
-    # graded order, ties by the exponent vector itself (l2 before l3 ...)
-    return (_mono_degree(m), m)
+    # graded lex with l2 > l3 > ...: a monomial order, so the leading term of
+    # a product is the product of the leading terms
+    return (_mono_degree(m), tuple((-p, e) for p, e in m))
 
 
 def _p_add(a: Poly, b: Poly) -> Poly:
@@ -366,9 +362,18 @@ class LogConstant:
         return _p_add(_p_mul(self.num, other.den), _p_neg(_p_mul(other.num, self.den))) == {}
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        # LT(num)/LT(den) is the same for every representation of the value,
+        # whatever common factor num and den still share
+        if not self.num:
+            return 0
+        lead_num, lead_den = max(self.num, key=_mono_key), max(self.den, key=_mono_key)
+        q = self.num[lead_num] / self.den[lead_den]
+        coeff = Fraction(int(q.numerator), int(q.denominator))
+        exps = dict(lead_num)
+        for p, e in lead_den:
+            exps[p] = exps.get(p, 0) - e
+        mono = tuple(sorted((p, e) for p, e in exps.items() if e))
+        return hash((coeff, mono)) if mono else hash(coeff)
 
     # -- evaluation and rendering -------------------------------------------
 

@@ -52,10 +52,14 @@ has already pinned, and every step certifies its own square, boundary sign,
 half-integer zeros and vanishing below the target.  The log of the guessing
 pass is therefore the minimality proof: compute_proven_expansion(n) walks the
 schedule once, through degree n+1, certifies existence at degrees 1..n, and
-checks the P2 -> P3 adjacency on that same log.  That is n+1 layer
-expansions and n existence expansions, 2n+1 in all.  Every step of a layer
-shares the layer's absorption audit.  prove_minimality derives the log
-afresh to check a candidate that came from elsewhere.
+checks the P2 -> P3 adjacency on that same log.  Existence at degree k is
+read from the constraint at order k+2 with a pure-X tail unknown of A, and
+for k <= n-1 that is layer k+2 of the schedule, already expanded with the
+tail attached: the certificate substitutes the truncated candidate into it.
+Only k = n needs an expansion of its own, so a proof makes n+2 expansions
+(n+1 layers and one certificate).  Every step of a layer shares the layer's
+absorption audit.  prove_minimality derives the log afresh to check a
+candidate that came from elsewhere.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ class ContradictionError(ProofFailure):
 # The unknown-coefficient ring
 # ---------------------------------------------------------------------------
 
-Symbol = tuple  # ("a", dx, dy) | ("b", dx, dy) | ("d", dx, dy) | ("t",)
+Symbol = tuple  # ("a", dx, dy) | ("b", dx, dy) | ("d", dx, dy)
 UMono = tuple   # sorted tuple of (Symbol, power)
 
 
@@ -307,8 +311,6 @@ def _umono_mul(m1: UMono, m2: UMono) -> UMono:
 
 
 def _symbol_name(sym: Symbol) -> str:
-    if sym[0] == "t":
-        return "t"
     kind, dx, dy = sym
     return f"{kind}[{Fraction(dx, 2)},{Fraction(dy, 2)}]"
 
@@ -403,9 +405,6 @@ class CandidateExpansion:
     status: str                 # "guessed" | "existence-certified" | "minimality-proven"
     b_pinned: dict = field(default_factory=dict)   # doubled exponents -> LogConstant
     guess_log: ProofLog = field(default_factory=ProofLog)
-
-    def d_coefficient(self, i, j) -> LogConstant:
-        return self.D.coefficient(i, j)
 
 
 @dataclass
@@ -514,6 +513,7 @@ class _State:
         self.D: dict[tuple, LogConstant] = {(0, 0): one}
         self.B_pinned: dict[tuple, LogConstant] = {}
         self.log = ProofLog()
+        self.layers: dict[int, TruncatedBiSeries] = {}  # degree -> its expansion
 
     def a_value_at(self, mono: tuple) -> LogConstant:
         if mono[0] % 2 == 0 and mono[1] % 2 == 0:
@@ -571,20 +571,22 @@ def _layer_symbols(k: int) -> list[Symbol]:
     return out
 
 
-def _expand_layer(state: _State, k: int, q_order: int) -> tuple[TruncatedBiSeries, list]:
-    """Expand the constraint once for layer k, every layer unknown attached.
+def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
+                  q_order: int) -> tuple[TruncatedBiSeries, list]:
+    """Expand the constraint once at `order` over the known A and D
+    coefficients, B being A's a = b copy, with `symbols` attached on top.
 
-    Returns the series and the absorption audit every step of the layer shares.
+    Returns the series and its absorption audit.
     """
     ring = UNKNOWN_RING
     lift = ring.from_logconst
-    a_terms = {m: lift(c) for m, c in state.A.items()}
-    terms = {"a": a_terms, "b": dict(a_terms), "d": {m: lift(c) for m, c in state.D.items()}}
-    for sym in _layer_symbols(k):
+    a_terms = {m: lift(c) for m, c in A.items()}
+    terms = {"a": a_terms, "b": dict(a_terms), "d": {m: lift(c) for m, c in D.items()}}
+    for sym in symbols:
         terms[sym[0]][sym[1:]] = UnknownPoly.from_symbol(sym)
-    trials = [TruncatedBiSeries(ring, k, terms[kind]) for kind in "abd"]
+    trials = [TruncatedBiSeries(ring, order, terms[kind]) for kind in "abd"]
     audit: list = []
-    series = build_constraint(*trials, k, q_order=q_order, audit=audit).series
+    series = build_constraint(*trials, order, q_order=q_order, audit=audit).series
     return series, [ev.describe() for ev in audit]
 
 
@@ -804,7 +806,9 @@ def _run_schedule(n: int, q_order_cap: Optional[int] = None) -> _State:
     expanding the constraint once per degree layer."""
     state = _State()
     for k in range(1, n + 2):
-        series, absorptions = _expand_layer(state, k, _q_order(k, q_order_cap))
+        series, absorptions = _expand_layer(
+            state.A, state.D, _layer_symbols(k), k, _q_order(k, q_order_cap))
+        state.layers[k] = series
         for target in _integer_targets(k):
             _solve_target(state, series, absorptions, target)
     return state
@@ -821,12 +825,59 @@ def guess_terms(n: int, q_order_cap: Optional[int] = None) -> CandidateExpansion
     B through degree n and D through degree (n+1)/2 requires targeting A's
     monomials through degree n+1; the returned candidate carries all of it
     (degA = n+1, degB = n, degD = (n+1)/2) with status guessed.  Its
-    guess_log is the full proof log of the run: compute_proven_expansion
-    adds only the existence certificates and the P2 -> P3 adjacency check.
+    guess_log is the full proof log of the schedule: compute_proven_expansion
+    walks the same schedule and adds only the existence certificates and the
+    P2 -> P3 adjacency check.
     """
     if n < 1:
         raise ValueError("guess_terms needs n >= 1")
     return _run_schedule(n, q_order_cap).candidate(n + 1, "guessed")
+
+
+def _certify_existence(k: int, series: TruncatedBiSeries,
+                       cand: CandidateExpansion) -> ExistenceCertificate:
+    """Read the degree-k existence certificate off an order-(k+2) expansion.
+
+    The tail unknown is A's at X^(k+2).  Every other attached unknown takes
+    its value in the truncated trial: A^(k+1) for a and b, D^((k+1)/2) for d,
+    0 past the truncation.  Then the constraint must vanish below X^(k+2),
+    and its coefficient there must be affine in the tail with a nonzero
+    rational slope.
+    """
+    dominant = (2 * (k + 2), 0)
+    tail: Symbol = ("a", *dominant)
+    a_terms = cand.A.truncate(k + 1).terms
+    d_terms = cand.D.truncate(Fraction(k + 1, 2)).terms
+    zero = LogConstant.zero()
+    values = {sym: (d_terms if sym[0] == "d" else a_terms).get(sym[1:], zero)
+              for sym in _layer_symbols(k + 2) if sym != tail}
+    dominant_key = _grlex_key(dominant)
+    for mono in sorted(series.terms, key=_grlex_key):
+        if _grlex_key(mono) >= dominant_key:
+            break
+        poly = series.terms[mono].substitute(values)
+        if poly:
+            raise ExistenceFailure(FailureRecord(
+                "existence", k, _frac_pair(mono),
+                "nonvanishing coefficient below the dominant monomial"
+                " (candidate does not satisfy the constraint)",
+                detail=str(poly),
+            ))
+    poly = series.terms.get(dominant, UNKNOWN_RING.zero).substitute(values)
+    slope = poly.coeff_linear(tail)
+    if poly.degree() != 1 or poly.unknowns() != {tail} or not slope.is_rational() or slope.is_zero():
+        raise ExistenceFailure(FailureRecord(
+            "existence", k, _frac_pair(dominant),
+            "dominant coefficient is not affine in the tail unknown with"
+            " nonzero rational slope",
+            detail=str(poly),
+        ))
+    kappa = -(poly.constant() / slope)
+    # For k = 1 the trial D = D^(1) is exact through every order the dominant
+    # monomial can see, so kappa coincides with the next pure-X coefficient
+    # of A; at higher degrees the (k+1)/2 truncation of D shifts the witness
+    # by square terms of D's tail, so kappa is recorded, not matched.
+    return ExistenceCertificate(degree=k, kappa=kappa, slope=slope.as_fraction())
 
 
 def prove_existence(n: int, cand: CandidateExpansion,
@@ -837,49 +888,10 @@ def prove_existence(n: int, cand: CandidateExpansion,
         raise ValueError("prove_existence needs n >= 1")
     if cand.degA < n + 1:
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
-    ring = UNKNOWN_RING
-    order = n + 2
-    q_order = _q_order(order, q_order_cap)
-    lift = ring.from_logconst
-    t_sym: Symbol = ("t",)
-
-    a_terms = {m: lift(c) for m, c in cand.A.truncate(n + 1).terms.items()}
-    a_terms[(2 * (n + 2), 0)] = UnknownPoly.from_symbol(t_sym)
-    A_trial = TruncatedBiSeries(ring, order, a_terms)
-    B_trial = cand.A.truncate(n + 1).map_coefficients(ring, lift).with_order(order)
-    D_trial = cand.D.truncate(Fraction(n + 1, 2)).map_coefficients(ring, lift).with_order(order)
-
-    series = build_constraint(A_trial, B_trial, D_trial, order, q_order=q_order).series
-    dominant = (2 * (n + 2), 0)
-    dominant_key = _grlex_key(dominant)
-    for mono in sorted(series.terms, key=_grlex_key):
-        if _grlex_key(mono) > dominant_key:
-            break
-        poly = series.terms[mono]
-        if mono == dominant:
-            continue
-        if poly:
-            raise ExistenceFailure(FailureRecord(
-                "existence", n, _frac_pair(mono),
-                "nonvanishing coefficient below the dominant monomial"
-                " (candidate does not satisfy the constraint)",
-                detail=str(poly),
-            ))
-    poly = series.terms.get(dominant, UNKNOWN_RING.zero)
-    slope = poly.coeff_linear(t_sym)
-    if poly.degree() != 1 or poly.unknowns() != {t_sym} or not slope.is_rational() or slope.is_zero():
-        raise ExistenceFailure(FailureRecord(
-            "existence", n, _frac_pair(dominant),
-            "dominant coefficient is not affine in the tail unknown with"
-            " nonzero rational slope",
-            detail=str(poly),
-        ))
-    kappa = -(poly.constant() / slope)
-    # For n = 1 the trial D = D^(1) is exact through every order the dominant
-    # monomial can see, so kappa coincides with the next pure-X coefficient
-    # of A; at higher degrees the (n+1)/2 truncation of D shifts the witness
-    # by square terms of D's tail, so kappa is recorded, not matched.
-    return ExistenceCertificate(degree=n, kappa=kappa, slope=slope.as_fraction())
+    series, _ = _expand_layer(
+        cand.A.truncate(n + 1).terms, cand.D.truncate(Fraction(n + 1, 2)).terms,
+        [("a", 2 * (n + 2), 0)], n + 2, _q_order(n + 2, q_order_cap))
+    return _certify_existence(n, series, cand)
 
 
 def prove_minimality(n: int, cand: CandidateExpansion,
@@ -919,8 +931,9 @@ def prove_minimality(n: int, cand: CandidateExpansion,
 def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> ExpansionResult:
     """Prove the degree-n expansion in one schedule pass.
 
-    guess_terms(n) solves A through degree n+1 and its log is the proof
-    log; existence is certified at degrees 1..n and the log must satisfy
+    The schedule solves A through degree n+1 and its log is the proof
+    log; existence is certified at degrees 1..n-1 from the schedule's own
+    layers k+2 and at degree n by prove_existence, and the log must satisfy
     the P2 -> P3 adjacency rule.  B is reported one degree behind A and D
     at half degree.
     """
@@ -929,12 +942,14 @@ def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> Expan
     certificates: list[ExistenceCertificate] = []
     cand: Optional[CandidateExpansion] = None
     try:
-        cand = guess_terms(n, q_order_cap=q_order_cap)
-        for k in range(1, n + 1):
-            certificates.append(prove_existence(k, cand, q_order_cap=q_order_cap))
+        state = _run_schedule(n, q_order_cap)
+        cand = state.candidate(n + 1, "guessed")
+        for k in range(1, n):
+            certificates.append(_certify_existence(k, state.layers[k + 2], cand))
+        certificates.append(prove_existence(n, cand, q_order_cap=q_order_cap))
         _check_adjacency(cand.guess_log, n)
     except ProofFailure as exc:
-        partial = exc.partial or cand or _empty_candidate()
+        partial = exc.partial or cand or _State().candidate(0, "guessed")
         return ExpansionResult(partial, partial.guess_log, certificates, failure=exc.record)
     proven = replace(cand, status="minimality-proven")
     return ExpansionResult(proven, proven.guess_log, certificates)
@@ -946,8 +961,3 @@ def _check_adjacency(log: ProofLog, n: int) -> None:
             "minimality", n, None,
             f"pattern sequence violates the P2->P3 adjacency rule: {log.pattern_sequence()}",
         ))
-
-
-def _empty_candidate() -> CandidateExpansion:
-    state = _State()
-    return state.candidate(0, "guessed")

@@ -172,7 +172,7 @@ class TruncatedBiSeries:
         return all(self.terms[e] == other.terms[e] for e in self.terms)
 
     def __hash__(self):
-        return hash((self.order2, frozenset((e, id(c)) for e, c in self.terms.items())))
+        return hash((self.order2, frozenset(self.terms)))
 
     # -- ring operations -------------------------------------------------------
 

@@ -159,6 +159,36 @@ class TestFieldAxioms:
         assert q * b == a
 
 
+class TestHashAgreesWithEq:
+    def test_exact_quotient_found(self):
+        # l2^2 + l2*l3 = l2*(l2 + l3), so the value reduces to l2 itself
+        v = (L2 * L2 + L2 * L3) / (L2 + L3)
+        assert v.to_string() == L2.to_string()
+        assert hash(v) == hash(L2)
+
+    def test_common_factor_left_in_place(self):
+        a = (L2 + 1) / (L2 + 2)
+        b = ((L2 + 1) * (L3 + 1)) / ((L3 + 1) * (L2 + 2))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_random_common_factors(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            x = random_logconstant(rng)
+            h = random_logconstant(rng, allow_zero=False)
+            g = random_logconstant(rng, allow_zero=False)
+            a, b = x / h, (x * g) / (h * g)
+            assert a == b
+            assert hash(a) == hash(b)
+
+    def test_rational_value_hashes_as_fraction(self):
+        v = (L2 * 3 + 3) / (L2 + 1)
+        assert v == Fraction(3)
+        assert hash(v) == hash(Fraction(3))
+
+
 class TestSerialization:
     def test_canonical_string(self):
         a01 = L2 * (-2) + L3 * Fraction(1, 6) - 2

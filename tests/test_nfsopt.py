@@ -252,9 +252,10 @@ class TestComputeProvenExpansion:
         assert cpe2.proof_log.check_pattern_adjacency()
 
     def test_one_schedule_pass(self, monkeypatch):
-        # 3 layer expansions (A's targets of degrees 1..3) + 2 existence
-        # certificates; a per-target expansion, a replayed schedule or a
-        # degree-4 layer would add more
+        # 3 layer expansions (A's targets of degrees 1..3) + the degree-2
+        # existence build; existence at degree 1 reads layer 3, and a
+        # per-target expansion, a replayed schedule, a degree-4 layer or a
+        # separate degree-1 certificate build would add more
         calls = 0
         build = nfsopt.build_constraint
 
@@ -265,7 +266,7 @@ class TestComputeProvenExpansion:
 
         monkeypatch.setattr(nfsopt, "build_constraint", counting)
         assert compute_proven_expansion(2).ok
-        assert calls == 5
+        assert calls == 4
 
     # Golden digests of _proof_digest, recorded with the schedule that
     # expanded the constraint once per target (before the per-layer

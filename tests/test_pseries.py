@@ -51,6 +51,14 @@ class TestRingOps:
     def test_equality_needs_equal_orders(self):
         assert S(2, {(0, 0): 1}) != S(3, {(0, 0): 1})
 
+    def test_hash_agrees_with_eq(self):
+        l2 = LogConstant.gen(2)
+        f = TruncatedBiSeries(R, 1, {(0, 0): 1 + l2})
+        g = TruncatedBiSeries(R, 1, {(0, 0): l2 + 1})
+        assert f == g
+        assert hash(f) == hash(g)
+        assert len({f, g}) == 1
+
 
 class TestInverse:
     def test_geometric(self):
