@@ -10,8 +10,7 @@ from .exact import (
     log_of_rational, scale_log, scale_ratio_as_rational,
 )
 from .pseries import (
-    TruncatedBiSeries, LOG_RING,
-    delta, neumann_inverse_one_plus_delta,
+    TruncatedBiSeries, delta, neumann_inverse_one_plus_delta,
 )
 from .dickman import (
     PSeries, QSeries, RhoValue,

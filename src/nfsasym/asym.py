@@ -170,17 +170,16 @@ def asym_add(
 def _log_series(f: ScaledAsymptotic) -> TruncatedBiSeries:
     """Series G with log f = log nu * G(X, Y); constant term is nu_exp."""
     F = f.series
-    ring = F.ring
     order = Fraction(F.order2, 2)
     slog = F.log()  # includes log of the positive constant term
     extra = scale_log(f.scale)
     if extra:
-        slog = slog + TruncatedBiSeries.constant(ring, ring.from_logconst(extra), order)
+        slog = slog + TruncatedBiSeries.constant(extra, order)
     g = slog.shift(0, 1)
     if f.nu_exp:
-        g = g + TruncatedBiSeries.constant(ring, f.nu_exp, g.order)
+        g = g + TruncatedBiSeries.constant(f.nu_exp, g.order)
     if f.lognu_exp:
-        g = g + TruncatedBiSeries.monomial(ring, 1, 0, g.order, f.lognu_exp)
+        g = g + TruncatedBiSeries.monomial(1, 0, g.order, f.lognu_exp)
     return g
 
 
@@ -202,7 +201,7 @@ def _xy_series(f: ScaledAsymptotic):
     g_inv = g.inverse()
     order = Fraction(g.order2, 2)
     ys = g_inv.shift(0, 1).truncate(order)
-    xs = (TruncatedBiSeries.x(g.ring, order) + g.log().shift(0, 1).truncate(order)) * g_inv
+    xs = (TruncatedBiSeries.x(order) + g.log().shift(0, 1).truncate(order)) * g_inv
     return xs, ys, g
 
 
@@ -220,11 +219,8 @@ def p_of(u: ScaledAsymptotic, n: int, q: Optional[TruncatedBiSeries] = None) -> 
     """Log smoothness probability -u log u * Q^(n)(X(u), Y(u)) of e^u at bound
     e^b with u the size ratio; returns an element at (alpha, beta + 1)."""
     xs, ys, g = _xy_series(u)
-    ring = u.series.ring
     if q is None:
         q = q_truncation(n)
-    if q.ring is not ring:
-        q = q.map_coefficients(ring, ring.from_logconst)
     composed = q.compose(xs, ys)
     return ScaledAsymptotic(
         u.scale, u.nu_exp, u.lognu_exp + 1, -(u.series * g * composed)
@@ -243,7 +239,5 @@ def scale_d() -> RadicalScale:
     return RadicalScale.from_pow(3, Fraction(1, 3))
 
 
-def nu_element(ring, order) -> ScaledAsymptotic:
-    return ScaledAsymptotic(
-        RadicalScale.one(), 1, 0, TruncatedBiSeries.one(ring, order)
-    )
+def nu_element(order) -> ScaledAsymptotic:
+    return ScaledAsymptotic(RadicalScale.one(), 1, 0, TruncatedBiSeries.one(order))

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .exact import LogConstant
 from .nfsopt import CandidateExpansion, ExpansionResult, ProofLog, constraint_residual
-from .pseries import LOG_RING, TruncatedBiSeries
+from .pseries import TruncatedBiSeries
 
 ENGINE_VERSION = "nfsasym-0.1.0"
 CACHE_DIR_ENV = "NFSASY_CACHE_DIR"
@@ -52,7 +52,7 @@ def _series_from_json(data: dict) -> TruncatedBiSeries:
     for key, text in data["terms"].items():
         dx, dy = (int(part) for part in key.split(","))
         terms[(dx, dy)] = LogConstant.parse(text)
-    return TruncatedBiSeries(LOG_RING, None, terms, _doubled_order=int(data["order2"]))
+    return TruncatedBiSeries._make(int(data["order2"]), terms)
 
 
 def _proof_summary(log: ProofLog) -> list[dict]:

@@ -20,7 +20,7 @@ from . import cache as cachemod
 from . import evalkit
 from .dickman import log_rho_debruijn, radius_constant, radius_threshold_check, rho_numeric
 from .nfsopt import CandidateExpansion, ExpansionResult, compute_proven_expansion, guess_terms
-from .pseries import _compact_logconst
+from .pseries import TruncatedBiSeries
 
 DIVERGENCE_CAVEAT = (
     "caveat: truncated expansions of the complexity exponent diverge at"
@@ -91,7 +91,7 @@ def _table_rows(cand: CandidateExpansion) -> list[dict]:
             "name": f"a{i}{j}" if i.denominator == 1 and j.denominator == 1 else f"a[{i},{j}]",
             "i": str(i),
             "j": str(j),
-            "exact": _compact_logconst(coeff),
+            "exact": coeff.to_compact_string(),
             "float": coeff.eval_f64(),
         })
     return rows
@@ -198,8 +198,7 @@ def _cmd_xi(args) -> int:
 
 
 def _degree_zero_candidate() -> CandidateExpansion:
-    from .pseries import LOG_RING, TruncatedBiSeries
-    one = TruncatedBiSeries.one(LOG_RING, 0)
+    one = TruncatedBiSeries.one(0)
     return CandidateExpansion(A=one, B=one, D=one, degA=0, degB=0,
                               degD=Fraction(0), status="exact")
 

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import integrate as _sc_integrate
 
-from .pseries import LOG_RING, TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
+from .exact import LogConstant
+from .pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -75,7 +76,7 @@ class PSeries:
     method: str  # "recurrence" | "stirling"
 
     def __post_init__(self):
-        one = LOG_RING.one
+        one = LogConstant.one()
         if self.series.constant_term() != one:
             raise ValueError("P series must have constant term 1")
         if self.series.order2 >= 2 and self.series.coefficient(1, 0) != one:
@@ -112,13 +113,12 @@ def p_series_recurrence(n: int) -> PSeries:
     """P_0 = 1, then P_{k+1} = trunc_{k+1}[1 + X + Y*log P_k]."""
     if n < 0:
         raise DomainError("series order must be >= 0")
-    ring = LOG_RING
-    p = TruncatedBiSeries.one(ring, 0)
+    p = TruncatedBiSeries.one(0)
     for k in range(n):
         order = k + 1
         # the iterate is polynomial, so it is exact at any order
-        p = (TruncatedBiSeries.one(ring, order) + TruncatedBiSeries.x(ring, order)
-             + TruncatedBiSeries.y(ring, order) * p.with_order(order).log())
+        p = (TruncatedBiSeries.one(order) + TruncatedBiSeries.x(order)
+             + TruncatedBiSeries.y(order) * p.with_order(order).log())
     return PSeries(p.with_order(n), "recurrence")
 
 
@@ -126,10 +126,10 @@ def p_series_stirling(n: int) -> PSeries:
     """P = 1 + X + Y * sum_{i>=1} sum_{j=1..i} S(i, i-j+1)/j! * X^j Y^{i-j}."""
     if n < 0:
         raise DomainError("series order must be >= 0")
-    ring = LOG_RING
-    terms = {(0, 0): ring.one}
+    one = LogConstant.one()
+    terms = {(0, 0): one}
     if n >= 1:
-        terms[(2, 0)] = ring.one
+        terms[(2, 0)] = one
     fact = [1]
     for i in range(1, n + 1):
         fact.append(fact[-1] * i)
@@ -137,8 +137,8 @@ def p_series_stirling(n: int) -> PSeries:
         for j in range(1, i + 1):
             c = Fraction(stirling_first_signed(i, i - j + 1), fact[j])
             if c:
-                terms[(2 * j, 2 * (i - j) + 2)] = ring.from_fraction(c)
-    return PSeries(TruncatedBiSeries(ring, n, terms), "stirling")
+                terms[(2 * j, 2 * (i - j) + 2)] = LogConstant.from_fraction(c)
+    return PSeries(TruncatedBiSeries(n, terms), "stirling")
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +146,12 @@ def q_series(n: int) -> QSeries:
     """Q = (1-Y)P + Y*(1+Delta)^(-1)(1 - Y^(-1))(Delta P), truncated at n."""
     if n < 0:
         raise DomainError("series order must be >= 0")
-    ring = LOG_RING
     p = p_series_recurrence(n).series
     dp = delta(p)
     operand = dp - dp.divide_by_y()
     resolved = neumann_inverse_one_plus_delta(operand)
-    one = TruncatedBiSeries.one(ring, n)
-    y = TruncatedBiSeries.monomial(ring, 0, 1, max(n, 1)).truncate(n)
+    one = TruncatedBiSeries.one(n)
+    y = TruncatedBiSeries.monomial(0, 1, max(n, 1)).truncate(n)
     q = (one - y) * p + resolved.shift(0, 1).truncate(n)
     return QSeries(q.with_order(n))
 
@@ -164,11 +163,9 @@ def q_truncation(n: int) -> TruncatedBiSeries:
 @lru_cache(maxsize=1)
 def cep_series() -> TruncatedBiSeries:
     """The fixed degree-2 smoothness polynomial 1 + X - Y + XY - Y^2."""
-    ring = LOG_RING
-    one_ = ring.one
+    one_ = LogConstant.one()
     return TruncatedBiSeries(
-        ring, 2,
-        {(0, 0): one_, (2, 0): one_, (0, 2): -one_, (2, 2): one_, (0, 4): -one_},
+        2, {(0, 0): one_, (2, 0): one_, (0, 2): -one_, (2, 2): one_, (0, 4): -one_}
     )
 
 

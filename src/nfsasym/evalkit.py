@@ -71,7 +71,7 @@ def xi_truncation(cand: CandidateExpansion, i: int) -> XiTruncation:
         raise EvalError("truncation degree must be >= 0")
     if i > cand.degA:
         raise DegreeUnavailableError(i, cand.degA)
-    poly = cand.A.truncate(i) - TruncatedBiSeries.one(cand.A.ring, i)
+    poly = cand.A.truncate(i) - TruncatedBiSeries.one(i)
     return XiTruncation(i, poly)
 
 
@@ -94,9 +94,8 @@ def xi_gap_loglog(cand: CandidateExpansion, i: int, loglognu: float) -> float:
     deep-tail gaps are free of floating cancellation."""
     if i < 1 or i > cand.degA:
         raise DegreeUnavailableError(i, cand.degA)
-    ring = cand.A.ring
     slice_terms = {e: c for e, c in cand.A.terms.items() if e[0] + e[1] == 2 * i}
-    piece = TruncatedBiSeries(ring, i, slice_terms)
+    piece = TruncatedBiSeries(i, slice_terms)
     x, y = xy_from_loglognu(loglognu)
     return abs(piece.eval_f64(x, y))
 
@@ -160,7 +159,14 @@ def figure_data(
     zonecrypto: xi_i over the cryptographic range N up to 2^20000, abscissa
     loglog N.  convergence: xi_i for nu up to e^(e^40), abscissa loglog nu.
     logrho: Q^(i)(X(u), Y(u)) on a log grid of u, abscissa log u.
+    The first curve is i = 1 for logrho and i = 0 for the others, and
+    i_max below it is an error.
     """
+    if figure_id not in FIGURE_IDS:
+        raise EvalError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    first = 1 if figure_id == "logrho" else 0
+    if i_max < first:
+        raise EvalError(f"figure {figure_id} needs i_max >= {first}, got {i_max}")
     rows: list[tuple[float, str, float]] = []
     if figure_id == "zonecrypto":
         if cand is None:
@@ -178,15 +184,13 @@ def figure_data(
         for loglognu in _log_grid(2.0, 40.0, points):
             for i, t in enumerate(trunc):
                 rows.append((loglognu, f"xi_{i}", t.eval_loglog(loglognu)))
-    elif figure_id == "logrho":
+    else:
         qs = [q_truncation(i) for i in range(1, i_max + 1)]
         for logu in _log_grid(1.5, 12.0, points):
             u = math.exp(logu)
             x, y = xy_of(u)
             for i, q in enumerate(qs, start=1):
                 rows.append((logu, f"Q_{i}", q.eval_f64(x, y)))
-    else:
-        raise EvalError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     return FigureSeries(figure_id, tuple(rows))
 
 

@@ -405,6 +405,32 @@ class LogConstant:
             return num
         return f"({num}) / ({_poly_to_string(self.den)})"
 
+    def to_compact_string(self) -> str:
+        """Sign-folded rendering for series and tables, e.g.
+        ``-2*l2 + (1/6)*l3 - 2``; a non-constant denominator falls back to
+        the canonical rendering."""
+        if self.is_rational():
+            q = self.as_fraction()
+            return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        if self.den != _ONE_P:
+            return self.to_string()
+        text = ""
+        for m in sorted(self.num, key=_mono_display_key):
+            q = self.num[m]
+            mag = abs(q)
+            if not m:
+                body = f"{mag}"
+            elif mag == 1:
+                body = _mono_to_string(m)
+            else:
+                mag_s = str(mag) if mag.denominator == 1 else f"({mag})"
+                body = f"{mag_s}*{_mono_to_string(m)}"
+            if not text:
+                text = f"-{body}" if q < 0 else body
+            else:
+                text += f" {'-' if q < 0 else '+'} {body}"
+        return text
+
     @staticmethod
     def parse(text: str) -> "LogConstant":
         return _parse_logconstant(text)

@@ -1,5 +1,5 @@
-"""The optimization core: expansion of the parameter constraint over an
-unknown-coefficient ring, the solving schedule whose log proves the
+"""The optimization core: expansion of the parameter constraint with
+unknown coefficients attached, the solving schedule whose log proves the
 asymptotic series of the minimizing parameters term by term, and the
 existence certificates for its truncations.
 
@@ -14,7 +14,9 @@ with A(0,0) = B(0,0) = D(0,0) = 1, and the constraint
     p((a + nu/d)/b) + p((d*a + nu/d)/b) + 2a - b = 0
 
 is expanded with the smoothness map p of the asym module, then divided by
-the scale of a.  Each coefficient of the resulting series is an exact
+the scale of a.  The trial series hold the known coefficients as plain
+LogConstant values and each unknown as an UnknownPoly; the series engine
+mixes the two, and each coefficient of the resulting series is an exact
 polynomial (of degree <= 2) in the currently unknown coefficients.
 
 Solving schedule.  A's monomials are targeted one at a time in graded-lex
@@ -74,7 +76,7 @@ from .asym import (
 )
 from .dickman import q_truncation
 from .exact import LogConstant, scale_ratio_as_rational
-from .pseries import LOG_RING, TruncatedBiSeries, _grlex_key
+from .pseries import TruncatedBiSeries, _grlex_key
 
 DEFAULT_Q_MARGIN = 2
 SIGN_CHECK_EPS = 1e-12
@@ -127,7 +129,7 @@ class ContradictionError(ProofFailure):
 
 
 # ---------------------------------------------------------------------------
-# The unknown-coefficient ring
+# Polynomials in the unknown coefficients
 # ---------------------------------------------------------------------------
 
 Symbol = tuple  # ("a", dx, dy) | ("b", dx, dy) | ("d", dx, dy)
@@ -315,34 +317,6 @@ def _symbol_name(sym: Symbol) -> str:
     return f"{kind}[{Fraction(dx, 2)},{Fraction(dy, 2)}]"
 
 
-class UnknownRing:
-    def __init__(self):
-        self.zero = UnknownPoly({})
-        self.one = UnknownPoly.from_logconst(LogConstant.one())
-
-    def from_fraction(self, q) -> UnknownPoly:
-        return UnknownPoly.from_logconst(LogConstant.from_fraction(q))
-
-    def from_logconst(self, c: LogConstant) -> UnknownPoly:
-        return UnknownPoly.from_logconst(c)
-
-    def inverse(self, c: UnknownPoly) -> UnknownPoly:
-        return c.inverse()
-
-    def log_constant(self, c: UnknownPoly) -> UnknownPoly:
-        if not c.is_constant():
-            raise UnknownShapeError(f"log of non-constant unknown poly {c}")
-        return UnknownPoly.from_logconst(LOG_RING.log_constant(c.constant()))
-
-    def eval_f64(self, c: UnknownPoly) -> float:
-        if not c.is_constant():
-            raise UnknownShapeError("cannot evaluate a symbolic coefficient")
-        return c.constant().eval_f64()
-
-
-UNKNOWN_RING = UnknownRing()
-
-
 # ---------------------------------------------------------------------------
 # Candidate expansions and proof records
 # ---------------------------------------------------------------------------
@@ -402,7 +376,7 @@ class CandidateExpansion:
     degA: int
     degB: int
     degD: Fraction
-    status: str                 # "guessed" | "existence-certified" | "minimality-proven"
+    status: str                 # "guessed" | "minimality-proven" | "exact" (degree 0)
     b_pinned: dict = field(default_factory=dict)   # doubled exponents -> LogConstant
     guess_log: ProofLog = field(default_factory=ProofLog)
 
@@ -437,17 +411,14 @@ def build_constraint(
     to order + 2 so that truncation error of the Q series never reaches the
     extracted coefficients.
     """
-    ring = A.ring
     if q_order is None:
         q_order = _q_order(int(order))
     q = q_truncation(q_order)
-    if ring is not LOG_RING:
-        q = q.map_coefficients(ring, ring.from_logconst)
 
     a = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), A)
     b = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), B)
     d = ScaledAsymptotic(scale_d(), Fraction(1, 3), Fraction(-1, 3), D)
-    nu = nu_element(ring, order)
+    nu = nu_element(order)
 
     nu_over_d = asym_div(nu, d)
     u0 = asym_div(asym_add(a, nu_over_d, audit), b)
@@ -470,12 +441,13 @@ def build_constraint(
 
 
 def constraint_residual(cand: CandidateExpansion, order=None, q_order=None) -> TruncatedBiSeries:
-    """Normalized constraint series for a plain candidate (no unknowns)."""
+    """Normalized constraint series for a plain candidate (no unknowns).
+
+    A series shorter than `order` enters zero-padded up to it.
+    """
     if order is None:
         order = cand.degA
-    A = cand.A.truncate(order)
-    B = cand.B.truncate(order)
-    D = cand.D.truncate(order)
+    A, B, D = (s.truncate(min(order, s.order)).with_order(order) for s in (cand.A, cand.B, cand.D))
     return build_constraint(A, B, D, order, q_order=q_order).series
 
 
@@ -521,14 +493,13 @@ class _State:
         return LogConstant.zero()
 
     def candidate(self, deg: int, status: str) -> CandidateExpansion:
-        ring = LOG_RING
         a_terms = {m: c for m, c in self.A.items() if m[0] + m[1] <= 2 * deg}
-        a_series = TruncatedBiSeries(ring, deg, a_terms)
+        a_series = TruncatedBiSeries(deg, a_terms)
         deg_b = max(deg - 1, 0)
         b_series = a_series.truncate(deg_b)
         deg_d = Fraction(deg, 2)
         d_terms = {m: c for m, c in self.D.items() if m[0] + m[1] <= deg}
-        d_series = TruncatedBiSeries(ring, deg_d, d_terms)
+        d_series = TruncatedBiSeries(deg_d, d_terms)
         return CandidateExpansion(
             A=a_series, B=b_series, D=d_series,
             degA=deg, degB=deg_b, degD=deg_d, status=status,
@@ -571,23 +542,32 @@ def _layer_symbols(k: int) -> list[Symbol]:
     return out
 
 
+def _known_values(k: int, A: dict, D: dict, free: tuple) -> dict[Symbol, LogConstant]:
+    # every unknown of layer k but the free ones at its known value: d from D,
+    # a and b (B's a = b fill) from A, 0 where nothing is known
+    zero = LogConstant.zero()
+    return {sym: (D if sym[0] == "d" else A).get(sym[1:], zero)
+            for sym in _layer_symbols(k) if sym not in free}
+
+
 def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
                   q_order: int) -> tuple[TruncatedBiSeries, list]:
     """Expand the constraint once at `order` over the known A and D
     coefficients, B being A's a = b copy, with `symbols` attached on top.
 
-    Returns the series and its absorption audit.
+    Returns the series, every coefficient an UnknownPoly, and its
+    absorption audit.
     """
-    ring = UNKNOWN_RING
-    lift = ring.from_logconst
-    a_terms = {m: lift(c) for m, c in A.items()}
-    terms = {"a": a_terms, "b": dict(a_terms), "d": {m: lift(c) for m, c in D.items()}}
+    terms = {"a": dict(A), "b": dict(A), "d": dict(D)}
     for sym in symbols:
         terms[sym[0]][sym[1:]] = UnknownPoly.from_symbol(sym)
-    trials = [TruncatedBiSeries(ring, order, terms[kind]) for kind in "abd"]
+    trials = [TruncatedBiSeries(order, terms[kind]) for kind in "abd"]
     audit: list = []
     series = build_constraint(*trials, order, q_order=q_order, audit=audit).series
-    return series, [ev.describe() for ev in audit]
+    # coefficients no unknown reached come out as plain LogConstant values
+    polys = {e: c if isinstance(c, UnknownPoly) else UnknownPoly.from_logconst(c)
+             for e, c in series.terms.items()}
+    return TruncatedBiSeries._make(series.order2, polys), [ev.describe() for ev in audit]
 
 
 def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
@@ -602,12 +582,8 @@ def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
     d_sym: Symbol = ("d", *slot)
 
     # the step's own a, b, d stay free; every other layer unknown takes its
-    # known value: A (and B's a = b fill) as solved so far, D as pinned, else 0
-    zero = LogConstant.zero()
-    solved: dict[Symbol, LogConstant] = {
-        sym: (state.D if sym[0] == "d" else state.A).get(sym[1:], zero)
-        for sym in _layer_symbols(k) if sym not in (a_sym, b_sym, d_sym)
-    }
+    # value as solved or pinned so far
+    solved = _known_values(k, state.A, state.D, (a_sym, b_sym, d_sym))
 
     def fail(message, mono=None, detail=""):
         record = FailureRecord(
@@ -846,11 +822,8 @@ def _certify_existence(k: int, series: TruncatedBiSeries,
     """
     dominant = (2 * (k + 2), 0)
     tail: Symbol = ("a", *dominant)
-    a_terms = cand.A.truncate(k + 1).terms
-    d_terms = cand.D.truncate(Fraction(k + 1, 2)).terms
-    zero = LogConstant.zero()
-    values = {sym: (d_terms if sym[0] == "d" else a_terms).get(sym[1:], zero)
-              for sym in _layer_symbols(k + 2) if sym != tail}
+    values = _known_values(k + 2, cand.A.truncate(k + 1).terms,
+                           cand.D.truncate(Fraction(k + 1, 2)).terms, (tail,))
     dominant_key = _grlex_key(dominant)
     for mono in sorted(series.terms, key=_grlex_key):
         if _grlex_key(mono) >= dominant_key:
@@ -863,7 +836,7 @@ def _certify_existence(k: int, series: TruncatedBiSeries,
                 " (candidate does not satisfy the constraint)",
                 detail=str(poly),
             ))
-    poly = series.terms.get(dominant, UNKNOWN_RING.zero).substitute(values)
+    poly = series.terms.get(dominant, UnknownPoly({})).substitute(values)
     slope = poly.coeff_linear(tail)
     if poly.degree() != 1 or poly.unknowns() != {tail} or not slope.is_rational() or slope.is_zero():
         raise ExistenceFailure(FailureRecord(

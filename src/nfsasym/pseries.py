@@ -1,18 +1,27 @@
 """Truncated bivariate power series in X and Y with half-integer exponents.
 
-A series is a finite term map over a coefficient ring together with a
-truncation bound: "order n" means every term of total degree <= n is exact
-and nothing is claimed beyond.  Exponents live in (1/2)*Z>=0 and are stored
-doubled (so X itself is the key (2, 0) and X^(1/2) is (1, 0)), which keeps
-half-integer bookkeeping exact.  Binary operations return the tightest order
-guaranteed by their inputs (min of the operand orders; monomial shifts lift
-the order by the shift degree).
+A series is a finite term map together with a truncation bound: "order n"
+means every term of total degree <= n is exact and nothing is claimed
+beyond.  Exponents live in (1/2)*Z>=0 and are stored doubled (so X itself is
+the key (2, 0) and X^(1/2) is (1, 0)), which keeps half-integer bookkeeping
+exact.  Binary operations return the tightest order guaranteed by their
+inputs (min of the operand orders; monomial shifts lift the order by the
+shift degree), and truncate never raises an order.
 
-The coefficient ring is duck-typed: coefficients must implement +, -, *,
-equality and truth testing, and the ring adapter supplies constants,
-coercion from Fraction/LogConstant, inversion, and log of a constant term.
-The same engine therefore runs over Q(log 2, log 3, ...) and over the
-unknown-coefficient ring used by the optimization layer.
+Coefficients carry their own arithmetic.  The series needs from them:
+
+* +, -, * (also with int and Fraction operands), == and truth testing;
+* inverse(), for the constant term of inverse and log;
+* is_rational() and as_fraction(), for the constant term of log, which must
+  be a LogConstant with a positive rational value so that its log is exact;
+* eval_f64(), for numeric evaluation.
+
+The constants the engine creates (one, rational scalars, log of a constant
+term) are always LogConstant, elements of Q(log 2, log 3, ...), so a
+coefficient type must accept LogConstant operands on either side.  The
+unknown-coefficient polynomials of the optimization layer do, which lets
+one series mix them with plain constants; they implement the arithmetic and
+inverse() only, which is all the constraint expansion asks of them.
 
 The Delta operator implemented here is the derivation with
 
@@ -26,11 +35,13 @@ truncation because Delta strictly raises total degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from .exact import LogConstant, log_of_rational
 
 ExpPair = tuple[int, int]  # doubled exponents
+
+_ZERO = LogConstant.zero()
+_ONE = LogConstant.one()
 
 
 class SeriesError(ValueError):
@@ -43,37 +54,6 @@ class SingularSeriesError(SeriesError):
 
 class UnsupportedConstantError(SeriesError):
     pass
-
-
-class CoefficientRing:
-    """Adapter over LogConstant coefficients (see nfsopt for the unknown ring)."""
-
-    def __init__(self):
-        self.zero = LogConstant.zero()
-        self.one = LogConstant.one()
-
-    def from_fraction(self, q) -> LogConstant:
-        return LogConstant.from_fraction(q)
-
-    def from_logconst(self, c: LogConstant) -> LogConstant:
-        return c
-
-    def inverse(self, c: LogConstant) -> LogConstant:
-        return c.inverse()
-
-    def log_constant(self, c: LogConstant) -> LogConstant:
-        if not isinstance(c, LogConstant) or not c.is_rational():
-            raise UnsupportedConstantError(f"cannot take log of constant term {c}")
-        q = c.as_fraction()
-        if q <= 0:
-            raise UnsupportedConstantError(f"log of non-positive constant term {q}")
-        return log_of_rational(q)
-
-    def eval_f64(self, c: LogConstant) -> float:
-        return c.eval_f64()
-
-
-LOG_RING = CoefficientRing()
 
 
 def _doubled(order) -> int:
@@ -91,10 +71,9 @@ def _grlex_key(e: ExpPair) -> tuple[int, int]:
 
 
 class TruncatedBiSeries:
-    __slots__ = ("ring", "order2", "terms")
+    __slots__ = ("order2", "terms")
 
-    def __init__(self, ring, order, terms: dict[ExpPair, object] | None = None, *, _doubled_order=None):
-        self.ring = ring
+    def __init__(self, order, terms: dict[ExpPair, object] | None = None, *, _doubled_order=None):
         self.order2 = _doubled_order if _doubled_order is not None else _doubled(order)
         clean: dict[ExpPair, object] = {}
         for (dx, dy), c in (terms or {}).items():
@@ -107,41 +86,41 @@ class TruncatedBiSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _make(cls, ring, order2: int, terms: dict[ExpPair, object]) -> "TruncatedBiSeries":
-        return cls(ring, None, terms, _doubled_order=order2)
+    def _make(cls, order2: int, terms: dict[ExpPair, object]) -> "TruncatedBiSeries":
+        return cls(None, terms, _doubled_order=order2)
 
     def _one_like(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries._make(self.ring, self.order2, {(0, 0): self.ring.one})
+        return TruncatedBiSeries._make(self.order2, {(0, 0): _ONE})
 
     def _zero_like(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries._make(self.ring, self.order2, {})
+        return TruncatedBiSeries._make(self.order2, {})
 
     @classmethod
-    def constant(cls, ring, value, order) -> "TruncatedBiSeries":
-        value = _coerce_coeff(ring, value)
-        return cls(ring, order, {(0, 0): value} if value else {})
+    def constant(cls, value, order) -> "TruncatedBiSeries":
+        value = _coerce_coeff(value)
+        return cls(order, {(0, 0): value} if value else {})
 
     @classmethod
-    def zero(cls, ring, order) -> "TruncatedBiSeries":
-        return cls(ring, order, {})
+    def zero(cls, order) -> "TruncatedBiSeries":
+        return cls(order, {})
 
     @classmethod
-    def one(cls, ring, order) -> "TruncatedBiSeries":
-        return cls(ring, order, {(0, 0): ring.one})
+    def one(cls, order) -> "TruncatedBiSeries":
+        return cls(order, {(0, 0): _ONE})
 
     @classmethod
-    def x(cls, ring, order) -> "TruncatedBiSeries":
-        return cls(ring, order, {(2, 0): ring.one})
+    def x(cls, order) -> "TruncatedBiSeries":
+        return cls(order, {(2, 0): _ONE})
 
     @classmethod
-    def y(cls, ring, order) -> "TruncatedBiSeries":
-        return cls(ring, order, {(0, 2): ring.one})
+    def y(cls, order) -> "TruncatedBiSeries":
+        return cls(order, {(0, 2): _ONE})
 
     @classmethod
-    def monomial(cls, ring, exp_x, exp_y, order, coeff=None) -> "TruncatedBiSeries":
+    def monomial(cls, exp_x, exp_y, order, coeff=None) -> "TruncatedBiSeries":
         dx, dy = _doubled(exp_x), _doubled(exp_y)
-        c = ring.one if coeff is None else _coerce_coeff(ring, coeff)
-        return cls(ring, order, {(dx, dy): c} if c else {})
+        c = _ONE if coeff is None else _coerce_coeff(coeff)
+        return cls(order, {(dx, dy): c} if c else {})
 
     # -- basic structure ------------------------------------------------------
 
@@ -153,10 +132,10 @@ class TruncatedBiSeries:
         return not self.terms
 
     def coefficient(self, exp_x, exp_y):
-        return self.terms.get((_doubled(exp_x), _doubled(exp_y)), self.ring.zero)
+        return self.terms.get((_doubled(exp_x), _doubled(exp_y)), _ZERO)
 
     def constant_term(self):
-        return self.terms.get((0, 0), self.ring.zero)
+        return self.terms.get((0, 0), _ZERO)
 
     def has_integer_exponents(self) -> bool:
         return all(dx % 2 == 0 and dy % 2 == 0 for dx, dy in self.terms)
@@ -174,21 +153,20 @@ class TruncatedBiSeries:
     def __hash__(self):
         return hash((self.order2, frozenset(self.terms)))
 
-    # -- ring operations -------------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
     def truncate(self, order) -> "TruncatedBiSeries":
+        """Drop every term beyond `order`, which must not exceed the series'
+        own order: nothing past that is known, so truncation cannot claim it."""
         d = _doubled(order)
-        return TruncatedBiSeries(
-            self.ring, None,
-            {e: c for e, c in self.terms.items() if e[0] + e[1] <= d},
-            _doubled_order=d,
-        )
+        if d > self.order2:
+            raise SeriesError(f"cannot truncate an order-{self.order} series at higher order {order}")
+        return TruncatedBiSeries._make(d, {e: c for e, c in self.terms.items() if e[0] + e[1] <= d})
 
     def with_order(self, order) -> "TruncatedBiSeries":
         """Re-declare the truncation bound; raising it asserts the caller
         knows the series is exact there (polynomials, monomial shifts)."""
-        d = _doubled(order)
-        return TruncatedBiSeries(self.ring, None, dict(self.terms), _doubled_order=d)
+        return TruncatedBiSeries._make(_doubled(order), dict(self.terms))
 
     def __add__(self, other):
         other = self._coerce_series(other)
@@ -205,14 +183,12 @@ class TruncatedBiSeries:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return TruncatedBiSeries(self.ring, None, terms, _doubled_order=order2)
+        return TruncatedBiSeries._make(order2, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedBiSeries(
-            self.ring, None, {e: -c for e, c in self.terms.items()}, _doubled_order=self.order2
-        )
+        return TruncatedBiSeries._make(self.order2, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce_series(other)
@@ -246,25 +222,21 @@ class TruncatedBiSeries:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return TruncatedBiSeries(self.ring, None, terms, _doubled_order=order2)
+        return TruncatedBiSeries._make(order2, terms)
 
     __rmul__ = __mul__
 
     def scale(self, coeff) -> "TruncatedBiSeries":
-        c = _coerce_coeff(self.ring, coeff)
+        c = _coerce_coeff(coeff)
         if not c:
-            return TruncatedBiSeries(self.ring, None, {}, _doubled_order=self.order2)
-        return TruncatedBiSeries(
-            self.ring, None, {e: c * v for e, v in self.terms.items()}, _doubled_order=self.order2
-        )
+            return self._zero_like()
+        return TruncatedBiSeries._make(self.order2, {e: c * v for e, v in self.terms.items()})
 
     def shift(self, exp_x, exp_y) -> "TruncatedBiSeries":
         """Multiply by the monomial X^exp_x Y^exp_y; exactness lifts with it."""
         dx, dy = _doubled(exp_x), _doubled(exp_y)
-        return TruncatedBiSeries(
-            self.ring, None,
-            {(ex + dx, ey + dy): c for (ex, ey), c in self.terms.items()},
-            _doubled_order=self.order2 + dx + dy,
+        return TruncatedBiSeries._make(
+            self.order2 + dx + dy, {(ex + dx, ey + dy): c for (ex, ey), c in self.terms.items()}
         )
 
     def divide_by_y(self) -> "TruncatedBiSeries":
@@ -274,7 +246,7 @@ class TruncatedBiSeries:
             if dy < 2:
                 raise SeriesError("series is not divisible by Y")
             terms[(dx, dy - 2)] = c
-        return TruncatedBiSeries(self.ring, None, terms, _doubled_order=max(self.order2 - 2, 0))
+        return TruncatedBiSeries._make(max(self.order2 - 2, 0), terms)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -293,8 +265,8 @@ class TruncatedBiSeries:
         if isinstance(other, TruncatedBiSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            c = self.ring.from_fraction(other)
-            return TruncatedBiSeries._make(self.ring, self.order2, {(0, 0): c} if c else {})
+            c = LogConstant.from_fraction(other)
+            return TruncatedBiSeries._make(self.order2, {(0, 0): c} if c else {})
         return NotImplemented
 
     # -- transcendental operations ---------------------------------------------
@@ -303,7 +275,7 @@ class TruncatedBiSeries:
         c = self.constant_term()
         if not c:
             raise SingularSeriesError("inverse of a series with zero constant term")
-        c_inv = self.ring.inverse(c)
+        c_inv = c.inverse()
         u = self.scale(c_inv) - self._one_like()
         # geometric series in -u, finite because u has positive valuation
         acc = self._one_like()
@@ -320,11 +292,9 @@ class TruncatedBiSeries:
         c = self.constant_term()
         if not c:
             raise SingularSeriesError("log of a series with zero constant term")
-        log_c = self.ring.log_constant(c)
-        u = self.scale(self.ring.inverse(c)) - self._one_like()
-        acc = TruncatedBiSeries._make(
-            self.ring, self.order2, {(0, 0): log_c} if log_c else {}
-        )
+        log_c = _log_of_constant(c)
+        u = self.scale(c.inverse()) - self._one_like()
+        acc = TruncatedBiSeries._make(self.order2, {(0, 0): log_c} if log_c else {})
         power = self._one_like()
         k = 0
         while True:
@@ -358,24 +328,23 @@ class TruncatedBiSeries:
         if xs.constant_term() or ys.constant_term():
             raise SeriesError("composition requires zero constant terms")
         order2 = min(xs.order2, ys.order2)
-        ring = xs.ring
         rows: dict[int, dict[int, object]] = {}
         for (dx, dy), c in self.terms.items():
             if dx % 2 or dy % 2:
                 raise SeriesError("composition requires integer exponents")
             rows.setdefault(dy // 2, {})[dx // 2] = c
         if not rows:
-            return TruncatedBiSeries._make(ring, order2, {})
+            return TruncatedBiSeries._make(order2, {})
         max_i = max((max(r) for r in rows.values()), default=0)
         half_order = Fraction(order2, 2)
         xs = xs.truncate(half_order)
         ys = ys.truncate(half_order)
-        xpow = [TruncatedBiSeries._make(ring, order2, {(0, 0): ring.one})]
+        xpow = [TruncatedBiSeries._make(order2, {(0, 0): _ONE})]
         for _ in range(max_i):
             xpow.append(xpow[-1] * xs)
 
         def row_series(j: int) -> TruncatedBiSeries:
-            acc = TruncatedBiSeries._make(ring, order2, {})
+            acc = TruncatedBiSeries._make(order2, {})
             for i, c in rows[j].items():
                 acc = acc + xpow[i].scale(c)
             return acc
@@ -393,13 +362,8 @@ class TruncatedBiSeries:
     def eval_f64(self, x: float, y: float) -> float:
         total = 0.0
         for (dx, dy), c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
-            total += self.ring.eval_f64(c) * (x ** (dx / 2.0)) * (y ** (dy / 2.0))
+            total += c.eval_f64() * (x ** (dx / 2.0)) * (y ** (dy / 2.0))
         return total
-
-    def map_coefficients(self, ring, fn: Callable) -> "TruncatedBiSeries":
-        return TruncatedBiSeries(
-            ring, None, {e: fn(c) for e, c in self.terms.items()}, _doubled_order=self.order2
-        )
 
     def __repr__(self):
         return f"TruncatedBiSeries(order={self.order}, {self})"
@@ -414,7 +378,7 @@ class TruncatedBiSeries:
         for e in self.sorted_exponents():
             coeff = self.terms[e]
             mono = _exp_to_string(e)
-            cs = _coeff_to_string(coeff)
+            cs = coeff.to_compact_string() if isinstance(coeff, LogConstant) else str(coeff)
             if not mono:
                 parts.append(cs)
             elif cs == "1":
@@ -426,12 +390,20 @@ class TruncatedBiSeries:
         return " + ".join(parts)
 
 
-def _coerce_coeff(ring, value):
+def _coerce_coeff(value):
     if isinstance(value, (int, Fraction)):
-        return ring.from_fraction(value)
-    if isinstance(value, LogConstant):
-        return ring.from_logconst(value)
+        return LogConstant.from_fraction(value)
     return value
+
+
+def _log_of_constant(c) -> LogConstant:
+    """The exact log of a positive rational constant term."""
+    if not isinstance(c, LogConstant) or not c.is_rational():
+        raise UnsupportedConstantError(f"cannot take log of constant term {c}")
+    q = c.as_fraction()
+    if q <= 0:
+        raise UnsupportedConstantError(f"log of non-positive constant term {q}")
+    return log_of_rational(q)
 
 
 def _exp_to_string(e: ExpPair) -> str:
@@ -449,39 +421,6 @@ def _exp_to_string(e: ExpPair) -> str:
     return "*".join(parts)
 
 
-def _coeff_to_string(coeff) -> str:
-    if isinstance(coeff, LogConstant):
-        return _compact_logconst(coeff)
-    return str(coeff)
-
-
-def _compact_logconst(c: LogConstant) -> str:
-    """Sign-folded rendering used in series output: -2*l2 + (1/6)*l3 - 2."""
-    if c.is_rational():
-        q = c.as_fraction()
-        return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    if not (len(c.den) == 1 and () in c.den and c.den[()] == 1):
-        return c.to_string()
-    from .exact import _mono_display_key, _mono_to_string  # rendering helpers
-
-    parts = []
-    for m in sorted(c.num, key=_mono_display_key):
-        q = c.num[m]
-        sign = "-" if q < 0 else "+"
-        mag = abs(q)
-        mag_s = str(mag) if mag.denominator == 1 else f"({mag})"
-        if m:
-            body = _mono_to_string(m) if mag == 1 else f"{mag_s}*{_mono_to_string(m)}"
-        else:
-            body = mag_s.strip("()") if mag.denominator == 1 else f"{mag}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = f"-{first_body}" if first_sign == "-" else first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 # ---------------------------------------------------------------------------
 # The Delta derivation
 # ---------------------------------------------------------------------------
@@ -495,7 +434,6 @@ def delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
     """
     if not t.has_integer_exponents():
         raise SeriesError("Delta is defined on integer-exponent series only")
-    ring = t.ring
     terms: dict[ExpPair, object] = {}
 
     def put(e, c):
@@ -514,7 +452,7 @@ def delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
             put((dx - 2, dy + 4), c * Fraction(a))
         if a + b:
             put((dx, dy + 2), c * Fraction(-(a + b)))
-    return TruncatedBiSeries(ring, None, terms, _doubled_order=t.order2)
+    return TruncatedBiSeries._make(t.order2, terms)
 
 
 def neumann_inverse_one_plus_delta(t: TruncatedBiSeries) -> TruncatedBiSeries:

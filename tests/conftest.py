@@ -5,7 +5,7 @@ import pytest
 
 from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import compute_proven_expansion
-from nfsasym.pseries import LOG_RING, TruncatedBiSeries
+from nfsasym.pseries import TruncatedBiSeries
 
 
 L2 = LogConstant.gen(2)
@@ -63,7 +63,7 @@ def random_series(rng: random.Random, order: int, *, integer_only: bool = False,
                     terms[(dx, dy)] = coeff
     if invertible:
         terms[(0, 0)] = LogConstant.from_fraction(rng.choice([1, -1, 2, 3]) * Fraction(1, rng.randint(1, 3)))
-    return TruncatedBiSeries(LOG_RING, order, terms)
+    return TruncatedBiSeries(order, terms)
 
 
 @pytest.fixture(scope="session")

@@ -10,17 +10,16 @@ from nfsasym.asym import (
     asym_scalar_mul, nu_element, p_of, scale_a, scale_d, x_of, y_of,
 )
 from nfsasym.exact import LogConstant, RadicalScale
-from nfsasym.pseries import LOG_RING, TruncatedBiSeries
+from nfsasym.pseries import TruncatedBiSeries
 
 from conftest import L2, L3
 
-R = LOG_RING
 F = Fraction
 
 
 def elem(scale, a, b, series=None, order=4):
     return ScaledAsymptotic(scale, F(a), F(b),
-                            series if series is not None else TruncatedBiSeries.one(R, order))
+                            series if series is not None else TruncatedBiSeries.one(order))
 
 
 class TestMulDiv:
@@ -28,26 +27,26 @@ class TestMulDiv:
         h = asym_mul(elem(RadicalScale.one(), F(1, 3), F(2, 3)),
                      elem(RadicalScale.one(), F(2, 3), F(1, 3)))
         assert (h.nu_exp, h.lognu_exp) == (1, 1)
-        assert h.series == TruncatedBiSeries.one(R, 4)
+        assert h.series == TruncatedBiSeries.one(4)
 
     def test_self_division(self):
         f = elem(scale_a(), F(1, 3), F(2, 3))
         q = asym_div(f, f)
         assert q.scale.is_one() and q.nu_exp == 0 and q.lognu_exp == 0
-        assert q.series == TruncatedBiSeries.one(R, 4)
+        assert q.series == TruncatedBiSeries.one(4)
 
     def test_nu_over_d(self):
-        D = TruncatedBiSeries.one(R, 4) - TruncatedBiSeries.x(R, 4).scale(F(2, 3))
+        D = TruncatedBiSeries.one(4) - TruncatedBiSeries.x(4).scale(F(2, 3))
         d = ScaledAsymptotic(scale_d(), F(1, 3), F(-1, 3), D)
-        q = asym_div(nu_element(R, 4), d)
+        q = asym_div(nu_element(4), d)
         assert q.scale == RadicalScale.from_pow(3, F(-1, 3))
         assert (q.nu_exp, q.lognu_exp) == (F(2, 3), F(1, 3))
         assert q.series == D.inverse()
 
     def test_division_by_zero_element(self):
-        z = ScaledAsymptotic(RadicalScale.one(), 0, 0, TruncatedBiSeries.zero(R, 3))
+        z = ScaledAsymptotic(RadicalScale.one(), 0, 0, TruncatedBiSeries.zero(3))
         with pytest.raises(Exception):
-            asym_div(nu_element(R, 3), z)
+            asym_div(nu_element(3), z)
 
 
 class TestAdd:
@@ -65,13 +64,13 @@ class TestAdd:
         assert asym_add(f, asym_neg(f)).is_zero()
 
     def test_fold_with_y_power(self):
-        got = asym_add(nu_element(R, 4), elem(RadicalScale.one(), 1, -1))
+        got = asym_add(nu_element(4), elem(RadicalScale.one(), 1, -1))
         assert (got.nu_exp, got.lognu_exp) == (1, 0)
-        assert got.series == TruncatedBiSeries.one(R, 4) + TruncatedBiSeries.y(R, 4)
+        assert got.series == TruncatedBiSeries.one(4) + TruncatedBiSeries.y(4)
 
     def test_zero_identity_and_commutativity(self):
         rng = random.Random(5)
-        zero = ScaledAsymptotic(RadicalScale.one(), 0, 0, TruncatedBiSeries.zero(R, 3))
+        zero = ScaledAsymptotic(RadicalScale.one(), 0, 0, TruncatedBiSeries.zero(3))
         for _ in range(40):
             f = elem(scale_a(), F(rng.randint(0, 3), 3), F(rng.randint(-3, 3), 3),
                      order=3)
@@ -110,9 +109,9 @@ class TestMulProperties:
 
 class TestLog:
     def test_log_nu(self):
-        lg = asym_log(nu_element(R, 4))
+        lg = asym_log(nu_element(4))
         assert (lg.nu_exp, lg.lognu_exp) == (0, 1)
-        assert lg.series == TruncatedBiSeries.one(R, 5)
+        assert lg.series == TruncatedBiSeries.one(5)
 
     def test_log_cube_root(self):
         lg = asym_log(elem(RadicalScale.one(), F(1, 3), 0))
@@ -128,17 +127,17 @@ class TestLog:
 
     def test_degenerate_series_log(self):
         f = ScaledAsymptotic(RadicalScale.one(), 0, 0,
-                             TruncatedBiSeries.one(R, 3) + TruncatedBiSeries.x(R, 3))
+                             TruncatedBiSeries.one(3) + TruncatedBiSeries.x(3))
         lg = asym_log(f)
         assert (lg.nu_exp, lg.lognu_exp) == (0, 0)
-        assert lg.series == (TruncatedBiSeries.one(R, 3) + TruncatedBiSeries.x(R, 3)).log()
+        assert lg.series == (TruncatedBiSeries.one(3) + TruncatedBiSeries.x(3)).log()
 
 
 class TestXYOf:
     def test_of_nu(self):
-        nu = nu_element(R, 4)
-        assert x_of(nu) == TruncatedBiSeries.x(R, 5)
-        assert y_of(nu) == TruncatedBiSeries.y(R, 5)
+        nu = nu_element(4)
+        assert x_of(nu) == TruncatedBiSeries.x(5)
+        assert y_of(nu) == TruncatedBiSeries.y(5)
 
     def test_of_cube_root(self):
         f = elem(RadicalScale.one(), F(1, 3), 0)
@@ -166,10 +165,10 @@ class TestXYOf:
 
 class TestPOf:
     def test_q0_with_nu(self):
-        p = p_of(nu_element(R, 3), 0)
+        p = p_of(nu_element(3), 0)
         assert (p.nu_exp, p.lognu_exp) == (1, 1)
         assert p.scale.is_one()
-        assert p.series == TruncatedBiSeries.constant(R, -1, 3)
+        assert p.series == TruncatedBiSeries.constant(-1, 3)
 
     def test_u0_leading_part(self):
         u0 = elem(scale_d() * RadicalScale(F(1, 2)), F(1, 3), F(-1, 3))

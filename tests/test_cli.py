@@ -194,6 +194,16 @@ class TestNumericCommands:
         assert csv_path.read_text().startswith("abscissa,curve,value")
         assert svg_path.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("i_max", ["0", "-2"])
+    def test_figure_logrho_without_curves(self, capsys, cache_env, tmp_path, i_max):
+        csv_path = tmp_path / "fig.csv"
+        for extra in ([], ["--svg", str(tmp_path / "fig.svg")]):
+            code, out, err = run(capsys, "figure", "--id", "logrho", "--i-max", i_max,
+                                 "--points", "16", "--out", str(csv_path), *extra)
+            assert code == 1
+            assert err == f"error: figure logrho needs i_max >= 1, got {i_max}\n"
+            assert not csv_path.exists()
+
     def test_figure_deterministic_bytes(self, capsys, cache_env, tmp_path, cpe2):
         save_expansion(cpe2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -13,11 +13,11 @@ from nfsasym.dickman import (
     stirling_first_signed, xy_of,
 )
 from nfsasym.exact import LogConstant
-from nfsasym.pseries import LOG_RING, TruncatedBiSeries
+from nfsasym.pseries import TruncatedBiSeries
 
 
 def S(order, terms):
-    return TruncatedBiSeries(LOG_RING, order, {
+    return TruncatedBiSeries(order, {
         e: LogConstant.from_fraction(c) for e, c in terms.items()
     })
 
@@ -73,7 +73,7 @@ class TestQSeries:
         assert q_series(2).series == cep_series()
 
     def test_degree_zero(self):
-        assert q_series(0).series == TruncatedBiSeries.one(LOG_RING, 0)
+        assert q_series(0).series == TruncatedBiSeries.one(0)
 
     def test_cep_fixed_polynomial(self):
         cep = cep_series()
@@ -89,8 +89,8 @@ class TestQSeries:
             dp = delta(p)
             operand = dp - dp.divide_by_y() if not dp.is_zero() else dp
             resolved = neumann_inverse_one_plus_delta(operand)
-            one_ = TBS.one(LOG_RING, n)
-            y = TBS.monomial(LOG_RING, 0, 1, max(n, 1)).truncate(n)
+            one_ = TBS.one(n)
+            y = TBS.monomial(0, 1, max(n, 1)).truncate(n)
             q_alt = (one_ - y) * p + resolved.shift(0, 1).truncate(n)
             assert q_alt.with_order(n) == q_series(n).series, n
 

@@ -128,6 +128,13 @@ class TestFigures:
         abscissas = sorted({r[0] for r in a.rows})
         assert abscissas == sorted(abscissas) and len(abscissas) == 48
 
+    def test_i_max_below_first_curve(self, cpe4):
+        for figure_id, cand, first in (("logrho", None, 1), ("convergence", cpe4.candidate, 0),
+                                       ("zonecrypto", cpe4.candidate, 0)):
+            with pytest.raises(EvalError, match=f"i_max >= {first}"):
+                figure_data(cand, figure_id, first - 1, points=8)
+            assert figure_data(cand, figure_id, first, points=8).rows
+
     def test_unknown_figure_id(self):
         with pytest.raises(EvalError):
             figure_data(None, "nope", 3)

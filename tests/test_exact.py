@@ -194,6 +194,13 @@ class TestSerialization:
         a01 = L2 * (-2) + L3 * Fraction(1, 6) - 2
         assert a01.to_string() == "(-2)*l2 + (1/6)*l3 + (-2)"
 
+    def test_compact_string(self):
+        assert (L2 * (-2) + L3 * Fraction(1, 6) - 2).to_compact_string() == "-2*l2 + (1/6)*l3 - 2"
+        assert (L2 * L3 - Fraction(1, 2)).to_compact_string() == "l2*l3 - 1/2"
+        assert LogConstant.from_fraction(Fraction(-4, 9)).to_compact_string() == "-4/9"
+        v = (L2 + 1) / (L3 - 1)
+        assert v.to_compact_string() == v.to_string()
+
     def test_round_trip(self):
         rng = random.Random(23)
         for _ in range(60):

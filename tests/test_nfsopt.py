@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from nfsasym.nfsopt import (
     build_constraint, classify_pattern, compute_proven_expansion,
     constraint_residual, guess_terms, prove_existence, prove_minimality,
 )
-from nfsasym.pseries import LOG_RING, TruncatedBiSeries
+from nfsasym.pseries import TruncatedBiSeries
 
 from conftest import L2, L3, reference_table
 
@@ -71,7 +72,7 @@ class TestClassifyPattern:
 
 class TestBuildConstraint:
     def test_all_ones_constant_vanishes(self):
-        one = TruncatedBiSeries.one(LOG_RING, 0)
+        one = TruncatedBiSeries.one(0)
         series = build_constraint(one, one, one, 0).series
         assert series.constant_term().is_zero()
 
@@ -84,9 +85,38 @@ class TestBuildConstraint:
         cand = guess_terms(1)
         terms = dict(cand.A.truncate(1).terms)
         terms[(2, 0)] = terms[(2, 0)] + LogConstant.one()  # 4/3 -> 4/3 + 1
-        bad = TruncatedBiSeries(LOG_RING, 1, terms)
+        bad = TruncatedBiSeries(1, terms)
         residual = build_constraint(bad, bad, cand.D.truncate(1), 1).series
         assert residual.coefficient(1, 0)
+
+
+class TestLayerExpansion:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_mixed_expansion_matches_plain(self, cpe2, k):
+        """Substituting rationals for a layer's unknowns in its expansion
+        gives the constraint of plain series carrying the same values."""
+        cand = cpe2.candidate
+        known_a = {m: c for m, c in cand.A.terms.items() if m[0] + m[1] < 2 * k}
+        known_d = {m: c for m, c in cand.D.terms.items() if m[0] + m[1] < k}
+        symbols = nfsopt._layer_symbols(k)
+        q_order = nfsopt._q_order(k)
+        series, _ = nfsopt._expand_layer(known_a, known_d, symbols, k, q_order)
+
+        rng = random.Random(100 + k)
+        values = {sym: LogConstant.from_fraction(F(rng.randint(-9, 9), rng.randint(1, 9)))
+                  for sym in symbols}
+        plain = {"a": dict(known_a), "b": dict(known_a), "d": dict(known_d)}
+        for sym, value in values.items():
+            plain[sym[0]][sym[1:]] = value
+        trials = [TruncatedBiSeries(k, plain[kind]) for kind in "abd"]
+        want = build_constraint(*trials, k, q_order=q_order).series
+
+        got = {}
+        for e, poly in series.terms.items():
+            poly = poly.substitute(values)
+            assert poly.is_constant()
+            got[e] = poly.constant()
+        assert TruncatedBiSeries(k, got) == want
 
 
 class TestGuessTerms:
@@ -148,7 +178,7 @@ class TestProveExistence:
         terms = dict(cand.A.terms)
         terms[(0, 4)] = terms[(0, 4)] + LogConstant.one()
         bad = CandidateExpansion(
-            A=TruncatedBiSeries(LOG_RING, cand.A.order, terms), B=cand.B, D=cand.D,
+            A=TruncatedBiSeries(cand.A.order, terms), B=cand.B, D=cand.D,
             degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
         )
         with pytest.raises(ExistenceFailure):
@@ -178,7 +208,7 @@ class TestProveMinimality:
         terms = dict(cand.A.terms)
         terms[(2, 0)] = terms[(2, 0)] + 1  # tamper with a10
         bad = CandidateExpansion(
-            A=TruncatedBiSeries(LOG_RING, cand.A.order, terms), B=cand.B, D=cand.D,
+            A=TruncatedBiSeries(cand.A.order, terms), B=cand.B, D=cand.D,
             degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
         )
         with pytest.raises(ContradictionError):
@@ -190,7 +220,7 @@ class TestProveMinimality:
         terms = dict(cand.D.terms)
         terms[(0, 2)] = terms[(0, 2)] + 1  # tamper with d01
         bad = CandidateExpansion(
-            A=cand.A, B=cand.B, D=TruncatedBiSeries(LOG_RING, cand.D.order, terms),
+            A=cand.A, B=cand.B, D=TruncatedBiSeries(cand.D.order, terms),
             degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
         )
         with pytest.raises(ContradictionError):

@@ -6,31 +6,29 @@ import pytest
 
 from nfsasym.exact import LogConstant
 from nfsasym.pseries import (
-    LOG_RING, SeriesError, SingularSeriesError, TruncatedBiSeries,
+    SeriesError, SingularSeriesError, TruncatedBiSeries,
     delta, neumann_inverse_one_plus_delta,
 )
 
 from conftest import random_series
 
-R = LOG_RING
-
 
 def S(order, terms):
-    return TruncatedBiSeries(R, order, {
+    return TruncatedBiSeries(order, {
         e: LogConstant.from_fraction(c) for e, c in terms.items()
     })
 
 
 def one(order):
-    return TruncatedBiSeries.one(R, order)
+    return TruncatedBiSeries.one(order)
 
 
 def X(order):
-    return TruncatedBiSeries.x(R, order)
+    return TruncatedBiSeries.x(order)
 
 
 def Y(order):
-    return TruncatedBiSeries.y(R, order)
+    return TruncatedBiSeries.y(order)
 
 
 class TestRingOps:
@@ -51,10 +49,17 @@ class TestRingOps:
     def test_equality_needs_equal_orders(self):
         assert S(2, {(0, 0): 1}) != S(3, {(0, 0): 1})
 
+    def test_truncate_never_raises_the_order(self):
+        s = one(1) + X(1)
+        assert s.truncate(1) == s
+        assert s.truncate(0) == one(0)
+        with pytest.raises(SeriesError):
+            s.truncate(3)
+
     def test_hash_agrees_with_eq(self):
         l2 = LogConstant.gen(2)
-        f = TruncatedBiSeries(R, 1, {(0, 0): 1 + l2})
-        g = TruncatedBiSeries(R, 1, {(0, 0): l2 + 1})
+        f = TruncatedBiSeries(1, {(0, 0): 1 + l2})
+        g = TruncatedBiSeries(1, {(0, 0): l2 + 1})
         assert f == g
         assert hash(f) == hash(g)
         assert len({f, g}) == 1
@@ -117,13 +122,13 @@ class TestLogExp:
             order = rng.randint(1, 4)
             a = random_series(rng, order, rational_only=True)
             terms = dict(a.terms)
-            terms[(0, 0)] = LOG_RING.one
-            a = TruncatedBiSeries(R, order, terms)
+            terms[(0, 0)] = LogConstant.one()
+            a = TruncatedBiSeries(order, terms)
             assert a.log().exp() == a
             b = random_series(rng, order, rational_only=True)
             bt = dict(b.terms)
             bt.pop((0, 0), None)
-            b = TruncatedBiSeries(R, order, bt)
+            b = TruncatedBiSeries(order, bt)
             assert b.exp().log() == b
 
 
@@ -134,7 +139,7 @@ class TestDelta:
         assert delta(X(4) * Y(4)) == S(4, {(0, 6): 1, (2, 4): -2})  # Y^3 - 2XY^2
 
     def test_half_integer_rejected(self):
-        s = TruncatedBiSeries(R, 2, {(1, 0): LOG_RING.one})
+        s = TruncatedBiSeries(2, {(1, 0): LogConstant.one()})
         with pytest.raises(SeriesError):
             delta(s)
 
@@ -200,19 +205,19 @@ class TestEvalAndRendering:
         assert s.eval_f64(0.1, 0.05) == pytest.approx(1.05, abs=1e-15)
 
     def test_eval_zero(self):
-        assert TruncatedBiSeries.zero(R, 3).eval_f64(0.3, 0.9) == 0.0
+        assert TruncatedBiSeries.zero(3).eval_f64(0.3, 0.9) == 0.0
 
     def test_rendering(self):
         a01 = LogConstant.gen(2) * (-2) + LogConstant.gen(3) * Fraction(1, 6) - 2
-        s = TruncatedBiSeries(R, 2, {
-            (0, 0): LOG_RING.one,
+        s = TruncatedBiSeries(2, {
+            (0, 0): LogConstant.one(),
             (2, 0): LogConstant.from_fraction(Fraction(4, 3)),
             (0, 2): a01,
         })
         assert s.to_string() == "1 + (4/3)*X + (-2*l2 + (1/6)*l3 - 2)*Y"
 
     def test_half_exponent_rendering(self):
-        s = TruncatedBiSeries(R, 2, {(1, 3): LOG_RING.one})
+        s = TruncatedBiSeries(2, {(1, 3): LogConstant.one()})
         assert s.to_string() == "X^(1/2)*Y^(3/2)"
 
     def test_graded_lex_order(self):
