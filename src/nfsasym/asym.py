@@ -13,8 +13,13 @@ the optimization constraint:
   for every n (a negative power of nu beats every power of 1/log nu), so it
   is dropped outright; the drop is recorded in the caller's audit trail;
 * equal alpha, beta gap k a half-integer >= 0 and rational scale ratio r:
-  the smaller term folds in as r * Y^k * (its series);
+  the smaller term folds in as r * Y^k * (its series); a fold at k > 0 is
+  recorded in the audit trail as well;
 * anything else is a modeling bug and raises.
+
+A zero series whose Y exponent is bounded (pseries.y_bounded) is not the
+zero element: the terms it dropped may be nonzero, so which term dominates
+cannot be decided, and asym_add raises rather than guess.
 
 log, X(.) and Y(.) of an element follow the direct expansions
 
@@ -68,6 +73,15 @@ class AbsorptionEvent:
             f" {self.kept_scale.to_string()}*nu^{self.kept_nu_exp}"
             f"*(log nu)^{self.kept_lognu_exp}"
         )
+
+
+@dataclass(frozen=True)
+class FoldEvent:
+    """A smaller term folded in at Y^gap, gap > 0, by asym_add."""
+    gap: Fraction
+
+    def describe(self) -> str:
+        return f"folded a term in at Y^{self.gap}"
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,9 @@ def asym_div(f: ScaledAsymptotic, g: ScaledAsymptotic) -> ScaledAsymptotic:
 def asym_add(
     f: ScaledAsymptotic, g: ScaledAsymptotic, audit: Optional[list] = None
 ) -> ScaledAsymptotic:
+    for h in (f, g):
+        if h.is_zero() and h.series.ymax2 is not None:
+            raise AsymError("a Y-bounded zero may hide a nonzero term: cannot add it")
     if f.is_zero():
         return g
     if g.is_zero():
@@ -163,6 +180,8 @@ def asym_add(
             f"scale ratio {small.scale.to_string()} / {big.scale.to_string()}"
             " is not rational", f, g,
         )
+    if gap and audit is not None:
+        audit.append(FoldEvent(gap))
     folded = small.series.scale(ratio).shift(0, gap)
     return ScaledAsymptotic(big.scale, big.nu_exp, big.lognu_exp, big.series + folded)
 

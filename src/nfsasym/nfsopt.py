@@ -58,10 +58,17 @@ checks the P2 -> P3 adjacency on that same log.  Existence at degree k is
 read from the constraint at order k+2 with a pure-X tail unknown of A, and
 for k <= n-1 that is layer k+2 of the schedule, already expanded with the
 tail attached: the certificate substitutes the truncated candidate into it.
-Only k = n needs an expansion of its own, so a proof makes n+2 expansions
-(n+1 layers and one certificate).  Every step of a layer shares the layer's
-absorption audit.  prove_minimality derives the log afresh to check a
-candidate that came from elsewhere.
+At k = n the certificate needs the coefficients of degree <= n+1, which
+layer n+1 gives by the same substitution; those of degree n+3/2, which
+vanish without an expansion when every exponent of the trial and every
+asym_add gap is an integer (the parity of the doubled exponents is a
+grading that every operation of the expansion respects); and the one at
+X^(n+2), which an expansion modulo Y (every Y-carrying term dropped, a ring
+homomorphism) gives exactly at a fraction of the cost.  So a proof makes
+n+1 layer expansions and one expansion in X alone, none above order n+1 in
+both variables.  Every step of a layer shares the layer's absorption audit.
+prove_minimality derives the log afresh to check a candidate that came from
+elsewhere.
 """
 
 from __future__ import annotations
@@ -71,14 +78,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .asym import (
-    ScaledAsymptotic, asym_add, asym_div, asym_mul, asym_neg, asym_scalar_mul,
+    FoldEvent, ScaledAsymptotic, asym_add, asym_div, asym_mul, asym_neg, asym_scalar_mul,
     nu_element, p_of, scale_a, scale_d,
 )
 from .dickman import q_truncation
 from .exact import LogConstant, scale_ratio_as_rational
 from .pseries import TruncatedBiSeries, _grlex_key
 
-DEFAULT_Q_MARGIN = 2
 SIGN_CHECK_EPS = 1e-12
 
 
@@ -408,11 +414,11 @@ def build_constraint(
     """p(u0) + p(u1) + 2a - b, normalized by the scale of a.
 
     u0 = (a + nu/d)/b and u1 = (d*a + nu/d)/b; the smoothness order defaults
-    to order + 2 so that truncation error of the Q series never reaches the
-    extracted coefficients.
+    to order.  That is exact: X(u) and Y(u) have no constant term, so a term
+    of Q beyond degree `order` composes to terms beyond it.
     """
     if q_order is None:
-        q_order = _q_order(int(order))
+        q_order = int(order)
     q = q_truncation(q_order)
 
     a = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), A)
@@ -508,9 +514,8 @@ class _State:
 
 
 def _q_order(order: int, cap: Optional[int] = None) -> int:
-    # smoothness order for an expansion at `order`: the Q-series margin, capped
-    q_order = order + DEFAULT_Q_MARGIN
-    return q_order if cap is None else min(q_order, cap)
+    # smoothness order for an expansion at `order`, capped
+    return order if cap is None else min(order, cap)
 
 
 def _integer_targets(k: int) -> list[tuple]:
@@ -551,9 +556,10 @@ def _known_values(k: int, A: dict, D: dict, free: tuple) -> dict[Symbol, LogCons
 
 
 def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
-                  q_order: int) -> tuple[TruncatedBiSeries, list]:
+                  q_order: int, y_max=None) -> tuple[TruncatedBiSeries, list]:
     """Expand the constraint once at `order` over the known A and D
-    coefficients, B being A's a = b copy, with `symbols` attached on top.
+    coefficients, B being A's a = b copy, with `symbols` attached on top;
+    modulo every term of Y exponent above `y_max` when it is given.
 
     Returns the series, every coefficient an UnknownPoly, and its
     absorption audit.
@@ -562,12 +568,14 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
     for sym in symbols:
         terms[sym[0]][sym[1:]] = UnknownPoly.from_symbol(sym)
     trials = [TruncatedBiSeries(order, terms[kind]) for kind in "abd"]
+    if y_max is not None:
+        trials = [t.y_bounded(y_max) for t in trials]
     audit: list = []
     series = build_constraint(*trials, order, q_order=q_order, audit=audit).series
     # coefficients no unknown reached come out as plain LogConstant values
     polys = {e: c if isinstance(c, UnknownPoly) else UnknownPoly.from_logconst(c)
              for e, c in series.terms.items()}
-    return TruncatedBiSeries._make(series.order2, polys), [ev.describe() for ev in audit]
+    return TruncatedBiSeries._make(series.order2, polys, series.ymax2), audit
 
 
 def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
@@ -782,9 +790,10 @@ def _run_schedule(n: int, q_order_cap: Optional[int] = None) -> _State:
     expanding the constraint once per degree layer."""
     state = _State()
     for k in range(1, n + 2):
-        series, absorptions = _expand_layer(
+        series, audit = _expand_layer(
             state.A, state.D, _layer_symbols(k), k, _q_order(k, q_order_cap))
         state.layers[k] = series
+        absorptions = [ev.describe() for ev in audit]
         for target in _integer_targets(k):
             _solve_target(state, series, absorptions, target)
     return state
@@ -810,15 +819,16 @@ def guess_terms(n: int, q_order_cap: Optional[int] = None) -> CandidateExpansion
     return _run_schedule(n, q_order_cap).candidate(n + 1, "guessed")
 
 
-def _certify_existence(k: int, series: TruncatedBiSeries,
-                       cand: CandidateExpansion) -> ExistenceCertificate:
+def _certify_existence(k: int, series: TruncatedBiSeries, cand: CandidateExpansion,
+                       top: Optional[TruncatedBiSeries] = None) -> ExistenceCertificate:
     """Read the degree-k existence certificate off an order-(k+2) expansion.
 
     The tail unknown is A's at X^(k+2).  Every other attached unknown takes
     its value in the truncated trial: A^(k+1) for a and b, D^((k+1)/2) for d,
     0 past the truncation.  Then the constraint must vanish below X^(k+2),
     and its coefficient there must be affine in the tail with a nonzero
-    rational slope.
+    rational slope.  When `top` is given, the coefficient at X^(k+2) is read
+    from it, and `series` supplies only the monomials below.
     """
     dominant = (2 * (k + 2), 0)
     tail: Symbol = ("a", *dominant)
@@ -836,7 +846,9 @@ def _certify_existence(k: int, series: TruncatedBiSeries,
                 " (candidate does not satisfy the constraint)",
                 detail=str(poly),
             ))
-    poly = series.terms.get(dominant, UnknownPoly({})).substitute(values)
+    if top is None:
+        top = series
+    poly = top.terms.get(dominant, UnknownPoly({})).substitute(values)
     slope = poly.coeff_linear(tail)
     if poly.degree() != 1 or poly.unknowns() != {tail} or not slope.is_rational() or slope.is_zero():
         raise ExistenceFailure(FailureRecord(
@@ -853,17 +865,48 @@ def _certify_existence(k: int, series: TruncatedBiSeries,
     return ExistenceCertificate(degree=k, kappa=kappa, slope=slope.as_fraction())
 
 
-def prove_existence(n: int, cand: CandidateExpansion,
-                    q_order_cap: Optional[int] = None) -> ExistenceCertificate:
+def prove_existence(n: int, cand: CandidateExpansion, q_order_cap: Optional[int] = None,
+                    *, _layer: Optional[TruncatedBiSeries] = None) -> ExistenceCertificate:
     """Certify functions matching A^(n+1), B^(n+1), D^((n+1)/2) exist on the
-    constraint, by pinning a pure-X tail perturbation of A at degree n+2."""
+    constraint, by pinning a pure-X tail perturbation of A at degree n+2.
+
+    The certificate reads the order-(n+2) constraint of the truncated trial
+    with the tail attached, but it does not expand it:
+
+    * its coefficients of degree <= n+1 come from an order-(n+1) expansion
+      of the trial.  On its own this is a plain build; compute_proven_expansion
+      passes its schedule's layer n+1 as `_layer` (built over the same known
+      values), and the trial is substituted into it;
+    * its coefficients of degree n+3/2 vanish when every exponent of the
+      trial and every asym_add gap is an integer, since the parity of the
+      doubled exponents is then preserved by every operation of the build;
+    * its coefficient at X^(n+2) comes from the expansion modulo Y, which
+      drops every Y-carrying term (TruncatedBiSeries.y_bounded) and is exact
+      on the powers of X: nothing on the constraint path divides by Y (only
+      Q is built that way, unbounded and cached), and asym_add multiplies
+      by Y^gap with gap >= 0 only.
+
+    A trial with a nonzero half-integer term, or a build with a non-integer
+    gap, takes the full order-(n+2) expansion instead.
+    """
     if n < 1:
         raise ValueError("prove_existence needs n >= 1")
     if cand.degA < n + 1:
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
-    series, _ = _expand_layer(
-        cand.A.truncate(n + 1).terms, cand.D.truncate(Fraction(n + 1, 2)).terms,
-        [("a", 2 * (n + 2), 0)], n + 2, _q_order(n + 2, q_order_cap))
+    A, D = cand.A.truncate(n + 1), cand.D.truncate(Fraction(n + 1, 2))
+    tail = [("a", 2 * (n + 2), 0)]
+    q_order = _q_order(n + 2, q_order_cap)
+    if A.has_integer_exponents() and D.has_integer_exponents():
+        top, audit = _expand_layer(A.terms, D.terms, tail, n + 2, q_order, y_max=0)
+        if all(ev.gap.denominator == 1 for ev in audit if isinstance(ev, FoldEvent)):
+            if _layer is None:
+                low, _ = _expand_layer(A.terms, D.terms, [], n + 1, _q_order(n + 1, q_order_cap))
+            else:
+                values = _known_values(n + 1, A.terms, D.terms, ())
+                low = TruncatedBiSeries._make(
+                    _layer.order2, {e: p.substitute(values) for e, p in _layer.terms.items()})
+            return _certify_existence(n, low, cand, top)
+    series, _ = _expand_layer(A.terms, D.terms, tail, n + 2, q_order)
     return _certify_existence(n, series, cand)
 
 
@@ -906,8 +949,9 @@ def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> Expan
 
     The schedule solves A through degree n+1 and its log is the proof
     log; existence is certified at degrees 1..n-1 from the schedule's own
-    layers k+2 and at degree n by prove_existence, and the log must satisfy
-    the P2 -> P3 adjacency rule.  B is reported one degree behind A and D
+    layers k+2 and at degree n by prove_existence, which reads layer n+1
+    and expands the constraint in X alone; and the log must satisfy the
+    P2 -> P3 adjacency rule.  B is reported one degree behind A and D
     at half degree.
     """
     if n < 2:
@@ -919,7 +963,7 @@ def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> Expan
         cand = state.candidate(n + 1, "guessed")
         for k in range(1, n):
             certificates.append(_certify_existence(k, state.layers[k + 2], cand))
-        certificates.append(prove_existence(n, cand, q_order_cap=q_order_cap))
+        certificates.append(prove_existence(n, cand, q_order_cap, _layer=state.layers[n + 1]))
         _check_adjacency(cand.guess_log, n)
     except ProofFailure as exc:
         partial = exc.partial or cand or _State().candidate(0, "guessed")

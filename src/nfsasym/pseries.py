@@ -8,6 +8,17 @@ exact.  Binary operations return the tightest order guaranteed by their
 inputs (min of the operand orders; monomial shifts lift the order by the
 shift degree), and truncate never raises an order.
 
+A series may also carry a bound on its Y exponent (y_bounded): it then keeps
+no term whose Y exponent exceeds the bound, and a binary operation keeps the
+tighter bound of its operands.  The terms beyond any bound form an ideal of
+the series ring, so dropping them is a ring homomorphism: it commutes with
++, -, *, scale, shift, truncate, inverse, log and exp, with Delta (which
+never lowers a Y exponent) and with compose into a bounded substitute.  A
+bounded result is therefore the unbounded one with the same terms dropped.
+Division by Y is the one operation that does not descend (it would bring the
+dropped terms back), so divide_by_y refuses a bounded series.  Without a
+bound no operation pays any per-term check.
+
 Coefficients carry their own arithmetic.  The series needs from them:
 
 * +, -, * (also with int and Fraction operands), == and truth testing;
@@ -71,9 +82,10 @@ def _grlex_key(e: ExpPair) -> tuple[int, int]:
 
 
 class TruncatedBiSeries:
-    __slots__ = ("order2", "terms")
+    __slots__ = ("order2", "terms", "ymax2")
 
-    def __init__(self, order, terms: dict[ExpPair, object] | None = None, *, _doubled_order=None):
+    def __init__(self, order, terms: dict[ExpPair, object] | None = None, *,
+                 _doubled_order=None, _ymax2=None):
         self.order2 = _doubled_order if _doubled_order is not None else _doubled(order)
         clean: dict[ExpPair, object] = {}
         for (dx, dy), c in (terms or {}).items():
@@ -81,19 +93,22 @@ class TruncatedBiSeries:
                 raise SeriesError(f"term X^{Fraction(dx, 2)} Y^{Fraction(dy, 2)} beyond order {self.order}")
             if c:
                 clean[(dx, dy)] = c
+        if _ymax2 is not None:
+            clean = {e: c for e, c in clean.items() if e[1] <= _ymax2}
         self.terms = clean
+        self.ymax2 = _ymax2  # doubled Y-exponent bound, None when unbounded
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _make(cls, order2: int, terms: dict[ExpPair, object]) -> "TruncatedBiSeries":
-        return cls(None, terms, _doubled_order=order2)
+    def _make(cls, order2: int, terms: dict[ExpPair, object], ymax2=None) -> "TruncatedBiSeries":
+        return cls(None, terms, _doubled_order=order2, _ymax2=ymax2)
 
     def _one_like(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries._make(self.order2, {(0, 0): _ONE})
+        return TruncatedBiSeries._make(self.order2, {(0, 0): _ONE}, self.ymax2)
 
     def _zero_like(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries._make(self.order2, {})
+        return TruncatedBiSeries._make(self.order2, {}, self.ymax2)
 
     @classmethod
     def constant(cls, value, order) -> "TruncatedBiSeries":
@@ -128,6 +143,11 @@ class TruncatedBiSeries:
     def order(self):
         return self.order2 // 2 if self.order2 % 2 == 0 else Fraction(self.order2, 2)
 
+    def y_bounded(self, y_max) -> "TruncatedBiSeries":
+        """The series with every term of Y exponent above `y_max` dropped, and
+        the bound kept for every result computed from it."""
+        return TruncatedBiSeries._make(self.order2, self.terms, _tighter(self.ymax2, _doubled(y_max)))
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -146,7 +166,7 @@ class TruncatedBiSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedBiSeries):
             return NotImplemented
-        if self.order2 != other.order2 or set(self.terms) != set(other.terms):
+        if (self.order2, self.ymax2) != (other.order2, other.ymax2) or set(self.terms) != set(other.terms):
             return False
         return all(self.terms[e] == other.terms[e] for e in self.terms)
 
@@ -161,18 +181,20 @@ class TruncatedBiSeries:
         d = _doubled(order)
         if d > self.order2:
             raise SeriesError(f"cannot truncate an order-{self.order} series at higher order {order}")
-        return TruncatedBiSeries._make(d, {e: c for e, c in self.terms.items() if e[0] + e[1] <= d})
+        return TruncatedBiSeries._make(
+            d, {e: c for e, c in self.terms.items() if e[0] + e[1] <= d}, self.ymax2)
 
     def with_order(self, order) -> "TruncatedBiSeries":
         """Re-declare the truncation bound; raising it asserts the caller
         knows the series is exact there (polynomials, monomial shifts)."""
-        return TruncatedBiSeries._make(_doubled(order), dict(self.terms))
+        return TruncatedBiSeries._make(_doubled(order), dict(self.terms), self.ymax2)
 
     def __add__(self, other):
         other = self._coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
         order2 = min(self.order2, other.order2)
+        ymax2 = _tighter(self.ymax2, other.ymax2)
         terms = {e: c for e, c in self.terms.items() if e[0] + e[1] <= order2}
         for e, c in other.terms.items():
             if e[0] + e[1] > order2:
@@ -183,12 +205,12 @@ class TruncatedBiSeries:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return TruncatedBiSeries._make(order2, terms)
+        return TruncatedBiSeries._make(order2, terms, ymax2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedBiSeries._make(self.order2, {e: -c for e, c in self.terms.items()})
+        return TruncatedBiSeries._make(self.order2, {e: -c for e, c in self.terms.items()}, self.ymax2)
 
     def __sub__(self, other):
         other = self._coerce_series(other)
@@ -204,14 +226,18 @@ class TruncatedBiSeries:
         if other is NotImplemented:
             return NotImplemented
         order2 = min(self.order2, other.order2)
+        ymax2 = _tighter(self.ymax2, other.ymax2)
+        a, b = self.terms, other.terms
+        if ymax2 is not None:
+            # a term beyond the bound only reaches terms beyond it
+            a = {e: c for e, c in a.items() if e[1] <= ymax2}
+            b = {e: c for e, c in b.items() if e[1] <= ymax2}
+        if len(a) > len(b):
+            a, b = b, a
         terms: dict[ExpPair, object] = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        for (ax, ay), ac in a.terms.items():
+        for (ax, ay), ac in a.items():
             rem = order2 - ax - ay
-            for (bx, by), bc in b.terms.items():
+            for (bx, by), bc in b.items():
                 if bx + by > rem:
                     continue
                 e = (ax + bx, ay + by)
@@ -222,7 +248,7 @@ class TruncatedBiSeries:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return TruncatedBiSeries._make(order2, terms)
+        return TruncatedBiSeries._make(order2, terms, ymax2)
 
     __rmul__ = __mul__
 
@@ -230,17 +256,21 @@ class TruncatedBiSeries:
         c = _coerce_coeff(coeff)
         if not c:
             return self._zero_like()
-        return TruncatedBiSeries._make(self.order2, {e: c * v for e, v in self.terms.items()})
+        return TruncatedBiSeries._make(self.order2, {e: c * v for e, v in self.terms.items()}, self.ymax2)
 
     def shift(self, exp_x, exp_y) -> "TruncatedBiSeries":
         """Multiply by the monomial X^exp_x Y^exp_y; exactness lifts with it."""
         dx, dy = _doubled(exp_x), _doubled(exp_y)
         return TruncatedBiSeries._make(
-            self.order2 + dx + dy, {(ex + dx, ey + dy): c for (ex, ey), c in self.terms.items()}
+            self.order2 + dx + dy, {(ex + dx, ey + dy): c for (ex, ey), c in self.terms.items()},
+            self.ymax2,
         )
 
     def divide_by_y(self) -> "TruncatedBiSeries":
-        """Exact division by Y; every term must carry Y at least once."""
+        """Exact division by Y; every term must carry Y at least once, and the
+        series must be unbounded in Y (a dropped term would reach the bound)."""
+        if self.ymax2 is not None:
+            raise SeriesError("cannot divide a Y-bounded series by Y")
         terms = {}
         for (dx, dy), c in self.terms.items():
             if dy < 2:
@@ -294,7 +324,7 @@ class TruncatedBiSeries:
             raise SingularSeriesError("log of a series with zero constant term")
         log_c = _log_of_constant(c)
         u = self.scale(c.inverse()) - self._one_like()
-        acc = TruncatedBiSeries._make(self.order2, {(0, 0): log_c} if log_c else {})
+        acc = TruncatedBiSeries._make(self.order2, {(0, 0): log_c} if log_c else {}, self.ymax2)
         power = self._one_like()
         k = 0
         while True:
@@ -323,28 +353,33 @@ class TruncatedBiSeries:
 
     def compose(self, xs: "TruncatedBiSeries", ys: "TruncatedBiSeries") -> "TruncatedBiSeries":
         """Substitute (xs, ys) for (X, Y); both must have zero constant term
-        and self must have integer exponents.  Evaluated as a Horner scheme
-        in the Y substitute with cached powers of the X substitute."""
+        and self must have integer exponents and no Y bound (its Y terms are
+        substituted, so it must know all of them).  The result keeps the
+        tighter Y bound of xs and ys.  Evaluated as a Horner scheme in the Y
+        substitute with cached powers of the X substitute."""
         if xs.constant_term() or ys.constant_term():
             raise SeriesError("composition requires zero constant terms")
+        if self.ymax2 is not None:
+            raise SeriesError("cannot compose a Y-bounded series")
         order2 = min(xs.order2, ys.order2)
+        ymax2 = _tighter(xs.ymax2, ys.ymax2)
         rows: dict[int, dict[int, object]] = {}
         for (dx, dy), c in self.terms.items():
             if dx % 2 or dy % 2:
                 raise SeriesError("composition requires integer exponents")
             rows.setdefault(dy // 2, {})[dx // 2] = c
         if not rows:
-            return TruncatedBiSeries._make(order2, {})
+            return TruncatedBiSeries._make(order2, {}, ymax2)
         max_i = max((max(r) for r in rows.values()), default=0)
         half_order = Fraction(order2, 2)
         xs = xs.truncate(half_order)
         ys = ys.truncate(half_order)
-        xpow = [TruncatedBiSeries._make(order2, {(0, 0): _ONE})]
+        xpow = [TruncatedBiSeries._make(order2, {(0, 0): _ONE}, ymax2)]
         for _ in range(max_i):
             xpow.append(xpow[-1] * xs)
 
         def row_series(j: int) -> TruncatedBiSeries:
-            acc = TruncatedBiSeries._make(order2, {})
+            acc = TruncatedBiSeries._make(order2, {}, ymax2)
             for i, c in rows[j].items():
                 acc = acc + xpow[i].scale(c)
             return acc
@@ -366,7 +401,8 @@ class TruncatedBiSeries:
         return total
 
     def __repr__(self):
-        return f"TruncatedBiSeries(order={self.order}, {self})"
+        bound = "" if self.ymax2 is None else f", y_max={Fraction(self.ymax2, 2)}"
+        return f"TruncatedBiSeries(order={self.order}{bound}, {self})"
 
     def __str__(self):
         return self.to_string()
@@ -388,6 +424,13 @@ class TruncatedBiSeries:
             else:
                 parts.append(f"({cs})*{mono}")
         return " + ".join(parts)
+
+
+def _tighter(a, b):
+    # the tighter of two doubled Y bounds, None meaning unbounded
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
 
 
 def _coerce_coeff(value):
@@ -452,7 +495,7 @@ def delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
             put((dx - 2, dy + 4), c * Fraction(a))
         if a + b:
             put((dx, dy + 2), c * Fraction(-(a + b)))
-    return TruncatedBiSeries._make(t.order2, terms)
+    return TruncatedBiSeries._make(t.order2, terms, t.ymax2)
 
 
 def neumann_inverse_one_plus_delta(t: TruncatedBiSeries) -> TruncatedBiSeries:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nfsasym.asym import (
-    AbsorptionEvent, ScaleIncompatibleError, ScaledAsymptotic,
+    AbsorptionEvent, AsymError, FoldEvent, ScaleIncompatibleError, ScaledAsymptotic,
     asym_add, asym_div, asym_equal, asym_log, asym_mul, asym_neg,
     asym_scalar_mul, nu_element, p_of, scale_a, scale_d, x_of, y_of,
 )
@@ -64,9 +64,22 @@ class TestAdd:
         assert asym_add(f, asym_neg(f)).is_zero()
 
     def test_fold_with_y_power(self):
-        got = asym_add(nu_element(4), elem(RadicalScale.one(), 1, -1))
+        audit = []
+        got = asym_add(nu_element(4), elem(RadicalScale.one(), 1, -1), audit)
         assert (got.nu_exp, got.lognu_exp) == (1, 0)
         assert got.series == TruncatedBiSeries.one(4) + TruncatedBiSeries.y(4)
+        assert audit == [FoldEvent(F(1))]
+
+    def test_fold_at_equal_log_exponent_not_recorded(self):
+        audit = []
+        asym_add(nu_element(4), nu_element(4), audit)
+        assert audit == []
+
+    def test_bounded_zero_refused(self):
+        # Y modulo Y is zero, but the term it stands for is not
+        y = ScaledAsymptotic(RadicalScale.one(), 1, 0, TruncatedBiSeries.y(4).y_bounded(0))
+        with pytest.raises(AsymError):
+            asym_add(nu_element(4), y)
 
     def test_zero_identity_and_commutativity(self):
         rng = random.Random(5)

@@ -184,6 +184,13 @@ class TestNumericCommands:
         match = re.search(r"g0 style\): 2\^(\d+\.\d+)", out)
         assert match and abs(float(match.group(1)) - 28.0) <= 1.0
 
+    def test_keysize_negative_degree(self, capsys, cache_env):
+        code, out, err = run(capsys, "keysize", "--from-bits", "512",
+                             "--to-bits", "1024", "--degree", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--degree must be >= 0" in err
+
     def test_figure_logrho(self, capsys, cache_env, tmp_path):
         csv_path = tmp_path / "fig.csv"
         svg_path = tmp_path / "fig.svg"

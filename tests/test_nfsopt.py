@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nfsasym import nfsopt
+from nfsasym.asym import FoldEvent
 from nfsasym.exact import LogConstant, generators_seen
 from nfsasym.nfsopt import (
     CandidateExpansion, ContradictionError, ExistenceFailure,
@@ -189,6 +190,75 @@ class TestProveExistence:
         with pytest.raises(ValueError):
             prove_existence(2, cand)
 
+    @pytest.mark.parametrize("kind", ["low", "x", "half"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_corrupted_candidate_records(self, monkeypatch, k, kind):
+        # "low" adds 1 to A's XY coefficient, "x" adds 1 to A's X^(k+1)
+        # coefficient, "half" gives D a term X^(1/2).  The records were taken
+        # when every certificate read one order-(k+2) bivariate build; a
+        # half-integer trial still takes that build, the others an
+        # order-(k+1) build and the order-(k+2) build modulo Y.
+        monomial = {"low": (1, 1), "x": (k + 1, 0), "half": (1, 0)}[kind]
+        detail = "((-1/2))" if kind == "half" else "((3/2))"
+        cand = guess_terms(3)
+        A, D = dict(cand.A.terms), dict(cand.D.terms)
+        if kind == "low":
+            A[(2, 2)] = A[(2, 2)] + 1
+        elif kind == "x":
+            A[(2 * (k + 1), 0)] = A[(2 * (k + 1), 0)] + 1
+        else:
+            D[(1, 0)] = LogConstant.one()
+        bad = CandidateExpansion(
+            A=TruncatedBiSeries(cand.A.order, A), B=cand.B, D=TruncatedBiSeries(cand.D.order, D),
+            degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
+        )
+        builds = []
+        build = nfsopt.build_constraint
+
+        def recording(A, B, D, order, **kwargs):
+            builds.append((order, A.ymax2))
+            return build(A, B, D, order, **kwargs)
+
+        monkeypatch.setattr(nfsopt, "build_constraint", recording)
+        with pytest.raises(ExistenceFailure) as info:
+            prove_existence(k, bad)
+        record = info.value.record
+        assert (record.stage, record.degree, record.monomial, record.detail) == (
+            "existence", k, tuple(map(F, monomial)), detail)
+        assert record.message == ("nonvanishing coefficient below the dominant monomial"
+                                  " (candidate does not satisfy the constraint)")
+        assert set(builds) == ({(k + 2, None)} if kind == "half" else {(k + 1, None), (k + 2, 0)})
+
+    def test_half_integer_gap_takes_full_build(self, monkeypatch):
+        # the constraint folds at integer gaps only; a build reporting a
+        # half-integer one must not be trusted for the half-integer monomials
+        builds = []
+        build = nfsopt.build_constraint
+
+        def half_gap(A, B, D, order, audit=None, **kwargs):
+            builds.append((order, A.ymax2))
+            audit.append(FoldEvent(F(1, 2)))
+            return build(A, B, D, order, audit=audit, **kwargs)
+
+        cand = guess_terms(2)
+        want = prove_existence(1, cand)
+        monkeypatch.setattr(nfsopt, "build_constraint", half_gap)
+        assert prove_existence(1, cand) == want
+        assert builds == [(3, 0), (3, None)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_x_only_expansion_matches_full(self, n):
+        cand = guess_terms(3)
+        A = cand.A.truncate(n + 1).terms
+        D = cand.D.truncate(F(n + 1, 2)).terms
+        tail = [("a", 2 * (n + 2), 0)]
+        q_order = nfsopt._q_order(n + 2)
+        full, _ = nfsopt._expand_layer(A, D, tail, n + 2, q_order)
+        x_only, _ = nfsopt._expand_layer(A, D, tail, n + 2, q_order, y_max=0)
+        dominant = (2 * (n + 2), 0)
+        assert x_only.terms[dominant] == full.terms[dominant]
+        assert x_only == full.y_bounded(0)
+
 
 class TestProveMinimality:
     def test_five_step_prefix(self):
@@ -283,20 +353,22 @@ class TestComputeProvenExpansion:
 
     def test_one_schedule_pass(self, monkeypatch):
         # 3 layer expansions (A's targets of degrees 1..3) + the degree-2
-        # existence build; existence at degree 1 reads layer 3, and a
-        # per-target expansion, a replayed schedule, a degree-4 layer or a
-        # separate degree-1 certificate build would add more
-        calls = 0
+        # existence build, which is in X alone (bound 0 on Y): existence at
+        # degree 1 reads layer 3 and at degree 2 layer 3 as well, and a
+        # per-target expansion, a replayed schedule, a degree-4 layer, a
+        # separate degree-1 certificate build or a bivariate degree-2 one
+        # would add more
+        calls = []
         build = nfsopt.build_constraint
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return build(*args, **kwargs)
+        def counting(A, B, D, order, **kwargs):
+            calls.append((order, A.ymax2))
+            return build(A, B, D, order, **kwargs)
 
         monkeypatch.setattr(nfsopt, "build_constraint", counting)
         assert compute_proven_expansion(2).ok
-        assert calls == 4
+        assert len(calls) == 4
+        assert calls == [(1, None), (2, None), (3, None), (4, 0)]
 
     # Golden digests of _proof_digest, recorded with the schedule that
     # expanded the constraint once per target (before the per-layer

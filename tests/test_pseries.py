@@ -10,7 +10,7 @@ from nfsasym.pseries import (
     delta, neumann_inverse_one_plus_delta,
 )
 
-from conftest import random_series
+from conftest import random_logconstant, random_series
 
 
 def S(order, terms):
@@ -130,6 +130,69 @@ class TestLogExp:
             bt.pop((0, 0), None)
             b = TruncatedBiSeries(order, bt)
             assert b.exp().log() == b
+
+
+class TestYBound:
+    """Bound 0 drops every Y-carrying term.  Those terms form an ideal, so an
+    operation on bounded operands must give the unbounded result with its
+    Y-carrying terms dropped."""
+
+    @staticmethod
+    def cases(seed, count=60, **kwargs):
+        rng = random.Random(seed)
+        for _ in range(count):
+            order = rng.randint(1, 4)
+            yield rng, order, random_series(rng, order, integer_only=True, **kwargs)
+
+    def test_ring_ops(self):
+        for rng, order, u in self.cases(71):
+            v = random_series(rng, order, integer_only=True)
+            c = random_logconstant(rng)
+            ub, vb = u.y_bounded(0), v.y_bounded(0)
+            assert ub * vb == (u * v).y_bounded(0)
+            assert ub * v == (u * v).y_bounded(0)  # the tighter bound wins
+            assert ub + vb == (u + v).y_bounded(0)
+            assert v + ub == (u + v).y_bounded(0)
+            assert -ub == (-u).y_bounded(0)
+            assert v - ub == (v - u).y_bounded(0)
+            assert ub.scale(c) == u.scale(c).y_bounded(0)
+
+    def test_inverse(self):
+        for _, _, u in self.cases(73, invertible=True):
+            assert u.y_bounded(0).inverse() == u.inverse().y_bounded(0)
+
+    def test_log(self):
+        for rng, order, u in self.cases(79):
+            terms = dict(u.terms)
+            terms[(0, 0)] = LogConstant.from_fraction(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            u = TruncatedBiSeries(order, terms)
+            assert u.y_bounded(0).log() == u.log().y_bounded(0)
+
+    def test_compose(self):
+        for rng, order, f in self.cases(83, count=30):
+            xs, ys = (random_series(rng, order, integer_only=True) for _ in range(2))
+            xs, ys = (TruncatedBiSeries(order, {e: c for e, c in s.terms.items() if e != (0, 0)})
+                      for s in (xs, ys))
+            want = f.compose(xs, ys).y_bounded(0)
+            assert f.compose(xs.y_bounded(0), ys.y_bounded(0)) == want
+            assert f.compose(xs, ys.y_bounded(0)) == want
+
+    def test_shift_into_y_is_zero(self):
+        for _, order, u in self.cases(89, count=20):
+            assert u.y_bounded(0).shift(0, 1) == TruncatedBiSeries.zero(order + 1).y_bounded(0)
+
+    def test_bound_is_part_of_the_value(self):
+        assert one(2).y_bounded(0) != one(2)
+        assert (one(2) + Y(2)).y_bounded(0) == one(2).y_bounded(0)
+
+    def test_divide_by_y_refused(self):
+        s = (Y(3) + X(3) * Y(3)).y_bounded(1)
+        with pytest.raises(SeriesError):
+            s.divide_by_y()
+
+    def test_bounded_compose_refused(self):
+        with pytest.raises(SeriesError):
+            (one(2) + Y(2)).y_bounded(0).compose(X(2), Y(2))
 
 
 class TestDelta:
