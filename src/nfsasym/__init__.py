@@ -1,6 +1,6 @@
 """Exact and numeric toolkit for the asymptotic expansion of the heuristic
 Number Field Sieve complexity: Dickman-de Bruijn series machinery, an exact
-bivariate-series engine over Q(log 2, log 3, ...), the guess/prove pipeline
+bivariate-series engine over Q[log 2, log 3], the guess/prove pipeline
 for the minimizing parameters, and floating-point evaluators for the
 resulting truncations.
 """

@@ -102,19 +102,22 @@ def load_expansion(path: Path) -> CandidateExpansion:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read expansion cache {path}: {exc}") from exc
-    if payload.get("engine") != ENGINE_VERSION:
-        raise CacheError(
-            f"cache {path} written by {payload.get('engine')!r}, expected {ENGINE_VERSION!r}"
+    engine = payload.get("engine") if isinstance(payload, dict) else None
+    if engine != ENGINE_VERSION:
+        raise CacheError(f"cache {path} written by {engine!r}, expected {ENGINE_VERSION!r}")
+    try:
+        cand = CandidateExpansion(
+            A=_series_from_json(payload["A"]),
+            B=_series_from_json(payload["B"]),
+            D=_series_from_json(payload["D"]),
+            degA=int(payload["degree"]),
+            degB=int(payload["deg_b"]),
+            degD=Fraction(payload["deg_d"]),
+            status=str(payload["status"]),
         )
-    cand = CandidateExpansion(
-        A=_series_from_json(payload["A"]),
-        B=_series_from_json(payload["B"]),
-        D=_series_from_json(payload["D"]),
-        degA=int(payload["degree"]),
-        degB=int(payload["deg_b"]),
-        degD=Fraction(payload["deg_d"]),
-        status=str(payload["status"]),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # ValueError covers ExactError: a coefficient outside Q[l2, l3]
+        raise CacheError(f"malformed expansion cache {path}: {exc!r}") from exc
     verify_expansion(cand, source=str(path))
     return cand
 

@@ -333,7 +333,7 @@ RHO_U_MAX = 500.0
 
 def rho_numeric(u: float, degree: int = 30) -> RhoValue:
     """Dickman rho from the delay equation u*rho' = -rho(u-1), rho = 1 on [0,1]."""
-    if u < 0:
+    if not u >= 0:  # also rejects nan
         raise DomainError(f"rho needs u >= 0, got {u}")
     if u > RHO_U_MAX:
         raise RangeError(

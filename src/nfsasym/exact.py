@@ -1,31 +1,32 @@
-"""Exact coefficient arithmetic: rationals, the field Q(log 2, log 3, ...),
-and the multiplicative group of radical-monomial scales.
+"""Exact coefficient arithmetic: rationals, the ring Q[log 2, log 3], and the
+multiplicative group of radical-monomial scales.
 
 Conventions
 -----------
 * Rationals are ``fractions.Fraction`` (arbitrary precision, canonical
   gcd-reduced form with positive denominator).
-* ``LogConstant`` is a quotient of two multivariate polynomials over Q in
-  formal generators ``l_p`` standing for log(p), one generator per prime p.
-  Generators are introduced lazily; any prime beyond {2, 3} is flagged,
-  because the target computation is expected to stay inside Q(l2, l3).
+* ``LogConstant`` is a polynomial over Q in the generators l2 = log 2 and
+  l3 = log 3, stored as one map {(i, j): c} for c * l2^i * l3^j with every
+  stored c nonzero, so equal values have equal maps and equal renderings.
+  Its units are the nonzero rationals: dividing by any other value, or
+  taking the log of a rational with a prime factor other than 2 and 3,
+  raises ``ExactError``.
 * ``RadicalScale`` is a positive constant of the form q * prod(p**e_p) with
   q a positive rational and rational exponents e_p.  Canonical form keeps
   every stored exponent in (0, 1): integer parts are folded into q.
 
-Equality of LogConstant values is decided by cross-multiplication of the
-stored fractions, which is exact in the polynomial model regardless of how
-far the internal reduction got.  A nonzero constant that evaluates below
-1e-12 in floating point triggers ``NearZeroWarning`` so that potential
-modeling artifacts surface instead of hiding in round-off.
+A nonzero constant that evaluates below 1e-12 in floating point triggers
+``NearZeroWarning`` so that potential modeling artifacts surface instead of
+hiding in round-off.  ``LogConstant.enclose`` bounds a value by rationals,
+for decisions that must not rest on floating point.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 try:  # gmpy2's C rationals cut exact-arithmetic time by an order of magnitude
@@ -33,58 +34,17 @@ try:  # gmpy2's C rationals cut exact-arithmetic time by an order of magnitude
 except ImportError:  # optional: without gmpy2, Fraction is the rational backend
     _Q = Fraction
 
-logger = logging.getLogger(__name__)
-
 RATIONAL_TYPES = (int, Fraction, type(_Q(1)))
 
 NEAR_ZERO_EVAL = 1e-12
-
-# Generators seen so far.  log 2 and log 3 are expected; anything else is
-# legal but surprising, so registering it emits a log record that tests can
-# assert on.
-_EXPECTED_GENERATORS = frozenset({2, 3})
-_generators_seen: set[int] = set()
-_unexpected_generator_events: list[int] = []
 
 
 class ExactError(ValueError):
     pass
 
 
-class EvalError(ExactError):
-    pass
-
-
 class NearZeroWarning(UserWarning):
     """A syntactically nonzero constant evaluated numerically below 1e-12."""
-
-
-def register_generator(p: int) -> None:
-    if p in _generators_seen:
-        return
-    _generators_seen.add(p)
-    if p not in _EXPECTED_GENERATORS:
-        _unexpected_generator_events.append(p)
-        logger.warning("extending coefficient field with unexpected generator l%d", p)
-
-
-def generators_seen() -> frozenset[int]:
-    return frozenset(_generators_seen)
-
-
-def unexpected_generator_events() -> tuple[int, ...]:
-    return tuple(_unexpected_generator_events)
-
-
-def snapshot_generator_registry() -> tuple:
-    return (set(_generators_seen), list(_unexpected_generator_events))
-
-
-def restore_generator_registry(snapshot: tuple) -> None:
-    seen, events = snapshot
-    _generators_seen.clear()
-    _generators_seen.update(seen)
-    _unexpected_generator_events[:] = list(events)
 
 
 def factor_positive_rational(q) -> dict[int, int]:
@@ -110,49 +70,19 @@ def factor_positive_rational(q) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate polynomials over Q in generators l_p.
+# Polynomials over Q in l2, l3.
 #
-# A monomial is a tuple of (prime, power) pairs sorted by prime, powers > 0;
-# the empty tuple is the constant monomial.  A polynomial is a dict mapping
-# monomials to nonzero rationals (gmpy2.mpq internally).  Polynomial dicts
-# are never mutated after construction, so the ONE polynomial is shared.
+# A monomial l2^i * l3^j is the pair (i, j); (0, 0) is the constant monomial.
+# A polynomial is a dict mapping monomials to nonzero rationals (gmpy2.mpq
+# internally).  Polynomial dicts are never mutated after construction, so
+# values may share them.
 # ---------------------------------------------------------------------------
 
-Monomial = tuple[tuple[int, int], ...]
+Monomial = tuple[int, int]
 Poly = dict
 
-_ZERO_P: Poly = {}
-_ONE_P: Poly = {(): _Q(1)}
-
-
-_MONO_MUL_CACHE: dict[tuple[Monomial, Monomial], Monomial] = {}
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    key = (a, b)
-    cached = _MONO_MUL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    merged = dict(a)
-    for p, e in b:
-        merged[p] = merged.get(p, 0) + e
-    out = tuple(sorted((p, e) for p, e in merged.items() if e != 0))
-    _MONO_MUL_CACHE[key] = out
-    return out
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_key(m: Monomial) -> tuple:
-    # graded lex with l2 > l3 > ...: a monomial order, so the leading term of
-    # a product is the product of the leading terms
-    return (_mono_degree(m), tuple((-p, e) for p, e in m))
+_CONST: Monomial = (0, 0)
+_GENERATORS: dict[int, Monomial] = {2: (1, 0), 3: (0, 1)}
 
 
 def _p_add(a: Poly, b: Poly) -> Poly:
@@ -174,23 +104,19 @@ def _p_add(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _p_neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
 def _p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
-    if len(a) == 1 and () in a:
-        c = a[()]
+    if len(a) == 1 and _CONST in a:
+        c = a[_CONST]
         return {m: c * v for m, v in b.items()}
-    if len(b) == 1 and () in b:
-        c = b[()]
+    if len(b) == 1 and _CONST in b:
+        c = b[_CONST]
         return {m: c * v for m, v in a.items()}
     out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            m = (i1 + i2, j1 + j2)
             s = out.get(m)
             if s is None:
                 out[m] = c1 * c2
@@ -203,51 +129,24 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _p_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return {}
-    return {m: c * v for m, v in a.items()}
-
-
-def _p_is_constant(a: Poly) -> bool:
-    return not a or (len(a) == 1 and () in a)
-
-
-def _p_leading_coeff(a: Poly) -> Fraction:
-    m = max(a, key=_mono_key)
-    return a[m]
-
-
-def _p_eval(a: Poly, log_of: dict[int, float]) -> float:
-    total = 0.0
-    for m, c in a.items():
-        term = float(c)
-        for p, e in m:
-            term *= log_of[p] ** e
-        total += term
-    return total
+def _to_fraction(v) -> Fraction:
+    return Fraction(int(v.numerator), int(v.denominator))
 
 
 class LogConstant:
-    """Element of the fraction field of Q[l2, l3, ...] with l_p = log p."""
+    """Element of Q[l2, l3] with l2 = log 2 and l3 = log 3."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms",)
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None or den is _ONE_P:
-            self.num = num
-            self.den = _ONE_P
-            return
-        if not den:
-            raise ExactError("zero denominator in LogConstant")
-        self.num, self.den = _canonical_fraction(num, den)
+    def __init__(self, terms: Poly):
+        self.terms = terms
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_fraction(q) -> "LogConstant":
         q = _Q(q)
-        return LogConstant({(): q} if q else {})
+        return LogConstant({_CONST: q} if q else {})
 
     @staticmethod
     def zero() -> "LogConstant":
@@ -259,28 +158,27 @@ class LogConstant:
 
     @staticmethod
     def gen(p: int) -> "LogConstant":
-        """The generator l_p = log p."""
-        register_generator(p)
-        return LogConstant({((p, 1),): _Q(1)})
+        """The generator l_p = log p, for p = 2 or 3."""
+        mono = _GENERATORS.get(p)
+        if mono is None:
+            raise ExactError(f"log {p} is outside Q[l2, l3]")
+        return LogConstant({mono: _Q(1)})
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.terms
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.terms)
 
     def is_rational(self) -> bool:
-        return _p_is_constant(self.num) and _p_is_constant(self.den)
+        return not self.terms or (len(self.terms) == 1 and _CONST in self.terms)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ExactError(f"{self} is not rational")
-        if not self.num:
-            return Fraction(0)
-        v = self.num[()] / self.den[()]
-        return Fraction(int(v.numerator), int(v.denominator))
+        return _to_fraction(self.terms.get(_CONST, 0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -295,17 +193,12 @@ class LogConstant:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is _ONE_P and other.den is _ONE_P:
-            return LogConstant(_p_add(self.num, other.num))
-        if self.den == other.den:
-            return LogConstant(_p_add(self.num, other.num), self.den)
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-        return LogConstant(num, _p_mul(self.den, other.den))
+        return LogConstant(_p_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LogConstant(_p_neg(self.num), self.den)
+        return LogConstant({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -320,16 +213,17 @@ class LogConstant:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is _ONE_P and other.den is _ONE_P:
-            return LogConstant(_p_mul(self.num, other.num))
-        return LogConstant(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        return LogConstant(_p_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LogConstant":
-        if not self.num:
+        """The inverse of a unit, i.e. of a nonzero rational value."""
+        if not self.terms:
             raise ZeroDivisionError("inverse of zero LogConstant")
-        return LogConstant(self.den, self.num)
+        if not self.is_rational():
+            raise ExactError(f"{self} is not a unit of Q[l2, l3]")
+        return LogConstant({_CONST: 1 / self.terms[_CONST]})
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -358,39 +252,42 @@ class LogConstant:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cross multiplication decides equality exactly in the polynomial model
-        return _p_add(_p_mul(self.num, other.den), _p_neg(_p_mul(other.num, self.den))) == {}
+        return self.terms == other.terms
 
     def __hash__(self):
-        # LT(num)/LT(den) is the same for every representation of the value,
-        # whatever common factor num and den still share
-        if not self.num:
-            return 0
-        lead_num, lead_den = max(self.num, key=_mono_key), max(self.den, key=_mono_key)
-        q = self.num[lead_num] / self.den[lead_den]
-        coeff = Fraction(int(q.numerator), int(q.denominator))
-        exps = dict(lead_num)
-        for p, e in lead_den:
-            exps[p] = exps.get(p, 0) - e
-        mono = tuple(sorted((p, e) for p, e in exps.items() if e))
-        return hash((coeff, mono)) if mono else hash(coeff)
+        # a rational value hashes as its Fraction, which it compares equal to
+        if self.is_rational():
+            return hash(self.as_fraction())
+        return hash(frozenset(self.terms.items()))
 
     # -- evaluation and rendering -------------------------------------------
 
     def eval_f64(self) -> float:
-        primes = {p for m in list(self.num) + list(self.den) for p, _ in m}
-        table = {p: math.log(p) for p in primes}
-        den = _p_eval(self.den, table)
-        if abs(den) < NEAR_ZERO_EVAL:
-            raise EvalError(f"denominator evaluates to (near-)zero: {den!r}")
-        value = _p_eval(self.num, table) / den
-        if self.num and abs(value) < NEAR_ZERO_EVAL:
+        value = 0.0
+        for (i, j), c in self.terms.items():
+            value += float(c) * _LOG2_F64 ** i * _LOG3_F64 ** j
+        if self.terms and abs(value) < NEAR_ZERO_EVAL:
             warnings.warn(
                 f"nonzero exact constant evaluates to {value!r} (< {NEAR_ZERO_EVAL})",
                 NearZeroWarning,
                 stacklevel=2,
             )
         return value
+
+    def enclose(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= value <= hi from enclosures of log 2 and log 3 of
+        width about 2**-bits.  Both logs are positive, so every monomial is
+        increasing in each of them and takes its bounds at the interval ends."""
+        (lo2, hi2), (lo3, hi3) = _log_enclosures(bits)
+        lo = hi = Fraction(0)
+        for (i, j), c in self.terms.items():
+            c = _to_fraction(c)
+            low, high = c * lo2 ** i * lo3 ** j, c * hi2 ** i * hi3 ** j
+            if c < 0:
+                low, high = high, low
+            lo += low
+            hi += high
+        return lo, hi
 
     def __repr__(self):
         return f"LogConstant({self})"
@@ -400,25 +297,25 @@ class LogConstant:
 
     def to_string(self) -> str:
         """Canonical rendering, e.g. ``(-2)*l2 + (1/6)*l3 + (-2)``."""
-        num = _poly_to_string(self.num)
-        if _p_is_constant(self.den) and self.den.get((), Fraction(1)) == 1:
-            return num
-        return f"({num}) / ({_poly_to_string(self.den)})"
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=_mono_display_key):
+            cs = f"({self.terms[m]})"
+            parts.append(cs if m == _CONST else f"{cs}*{_mono_to_string(m)}")
+        return " + ".join(parts)
 
     def to_compact_string(self) -> str:
         """Sign-folded rendering for series and tables, e.g.
-        ``-2*l2 + (1/6)*l3 - 2``; a non-constant denominator falls back to
-        the canonical rendering."""
+        ``-2*l2 + (1/6)*l3 - 2``."""
         if self.is_rational():
             q = self.as_fraction()
             return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        if self.den != _ONE_P:
-            return self.to_string()
         text = ""
-        for m in sorted(self.num, key=_mono_display_key):
-            q = self.num[m]
+        for m in sorted(self.terms, key=_mono_display_key):
+            q = self.terms[m]
             mag = abs(q)
-            if not m:
+            if m == _CONST:
                 body = f"{mag}"
             elif mag == 1:
                 body = _mono_to_string(m)
@@ -433,145 +330,79 @@ class LogConstant:
 
     @staticmethod
     def parse(text: str) -> "LogConstant":
-        return _parse_logconstant(text)
-
-
-def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if not num:
-        return {}, _ONE_P
-    # fold a constant denominator into the numerator
-    if _p_is_constant(den):
-        c = den[()]
-        if c != 1:
-            num = _p_scale(num, 1 / c)
-        return num, _ONE_P
-    # normalize the denominator monic on its leading monomial
-    lead = _p_leading_coeff(den)
-    if lead != 1:
-        num = _p_scale(num, 1 / lead)
-        den = _p_scale(den, 1 / lead)
-    # exact-division reduction (covers q*den / den and monomial factors)
-    q = _try_exact_div(num, den)
-    if q is not None:
-        return q, _ONE_P
-    return num, den
-
-
-def _try_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
-    # long division attempt; succeeds only on exact division
-    remainder = dict(num)
-    quotient: Poly = {}
-    den_lead = max(den, key=_mono_key)
-    den_lead_c = den[den_lead]
-    steps = 0
-    while remainder:
-        steps += 1
-        if steps > 200:
-            return None
-        m = max(remainder, key=_mono_key)
-        qm = _mono_div(m, den_lead)
-        if qm is None:
-            return None
-        qc = remainder[m] / den_lead_c
-        quotient[qm] = quotient.get(qm, _Q(0)) + qc
-        for dm, dc in den.items():
-            mm = _mono_mul(qm, dm)
-            s = remainder.get(mm, _Q(0)) - qc * dc
-            if s:
-                remainder[mm] = s
-            else:
-                remainder.pop(mm, None)
-    return {m: c for m, c in quotient.items() if c}
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
-    da = dict(a)
-    for p, e in b:
-        r = da.get(p, 0) - e
-        if r < 0:
-            return None
-        if r:
-            da[p] = r
-        else:
-            da.pop(p, None)
-    return tuple(sorted(da.items()))
+        """Inverse of to_string; rejects generators other than l2, l3."""
+        text = text.strip()
+        if text == "0":
+            return _LC_ZERO
+        if ") / (" in text:
+            raise ExactError(f"quotient {text!r} is outside Q[l2, l3]")
+        poly: Poly = {}
+        for chunk in text.split(" + "):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            coeff_s, _, mono_s = chunk.partition("*")
+            i = j = 0
+            for factor in mono_s.split("*") if mono_s else ():
+                gen_s, _, exp_s = factor.partition("^")
+                mono = _GENERATORS.get(int(gen_s[1:]))
+                if mono is None:
+                    raise ExactError(f"generator {gen_s!r} is outside Q[l2, l3]")
+                e = int(exp_s) if exp_s else 1
+                i, j = i + mono[0] * e, j + mono[1] * e
+            poly[(i, j)] = poly.get((i, j), _Q(0)) + _Q(coeff_s.strip("()"))
+        return LogConstant({m: c for m, c in poly.items() if c})
 
 
 def _mono_to_string(m: Monomial) -> str:
     parts = []
-    for p, e in m:
-        parts.append(f"l{p}" if e == 1 else f"l{p}^{e}")
+    for name, e in zip(("l2", "l3"), m):
+        if e:
+            parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
 def _mono_display_key(m: Monomial) -> tuple:
-    # higher degree first, l2 before l3 within a degree, constant last
-    return (-_mono_degree(m), m)
+    # higher degree first; within a degree, ascending in the power of l2 with
+    # the pure l3 power last (l2*l3^2, l2^2*l3, l2^3, l3^3); constant last
+    i, j = m
+    return (-(i + j), i == 0, i)
 
 
-def _poly_to_string(poly: Poly) -> str:
-    if not poly:
-        return "0"
-    parts = []
-    for m in sorted(poly, key=_mono_display_key):
-        c = poly[m]
-        cs = f"({c})"
-        parts.append(cs if not m else f"{cs}*{_mono_to_string(m)}")
-    return " + ".join(parts)
+_LC_ZERO = LogConstant({})
+_LC_ONE = LogConstant({_CONST: _Q(1)})
+_LOG2_F64 = math.log(2)
+_LOG3_F64 = math.log(3)
 
 
-def _parse_logconstant(text: str) -> LogConstant:
-    text = text.strip()
-    if text == "0":
-        return _LC_ZERO
-    if text.startswith("(") and ") / (" in text:
-        num_s, den_s = text[1:].split(") / (", 1)
-        if not den_s.endswith(")"):
-            raise ExactError(f"malformed LogConstant string: {text!r}")
-        return LogConstant(_parse_poly(num_s), _parse_poly(den_s[:-1]))
-    return LogConstant(_parse_poly(text))
+def _atanh_enclosure(m: int, bits: int) -> tuple[Fraction, Fraction]:
+    # atanh(1/m) = sum 1/((2k+1) m^(2k+1)) for m >= 2, summed in integers in
+    # units of 2**-w: every term is floored, so each loses less than a unit,
+    # and once m^(2k+1) exceeds 2**w the remaining terms add up to less than
+    # 2**-w / ((2k+1)(1 - 1/m^2)) <= (4/3) 2**-w, two units
+    w = bits + 16
+    total, power, k = 0, (1 << w) // m, 0
+    while power:
+        total += power // (2 * k + 1)
+        power //= m * m
+        k += 1
+    return Fraction(total, 1 << w), Fraction(total + k + 2, 1 << w)
 
 
-def _parse_poly(text: str) -> Poly:
-    poly: Poly = {}
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "*" in chunk:
-            coeff_s, mono_s = chunk.split("*", 1)
-        else:
-            coeff_s, mono_s = chunk, ""
-        coeff = _Q(coeff_s.strip("()"))
-        mono: list[tuple[int, int]] = []
-        if mono_s:
-            for factor in mono_s.split("*"):
-                if "^" in factor:
-                    gen_s, exp_s = factor.split("^")
-                    mono.append((int(gen_s[1:]), int(exp_s)))
-                else:
-                    mono.append((int(factor[1:]), 1))
-        for p, _ in mono:
-            register_generator(p)
-        key = tuple(sorted(mono))
-        poly[key] = poly.get(key, _Q(0)) + coeff
-    return {m: c for m, c in poly.items() if c}
-
-
-_LC_ZERO = LogConstant.__new__(LogConstant)
-_LC_ZERO.num = {}
-_LC_ZERO.den = _ONE_P
-_LC_ONE = LogConstant.__new__(LogConstant)
-_LC_ONE.num = _ONE_P
-_LC_ONE.den = _ONE_P
+@lru_cache(maxsize=None)
+def _log_enclosures(bits: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    # log 2 = 2 atanh(1/3) and log 3 = log 2 + 2 atanh(1/5)
+    lo_a, hi_a = _atanh_enclosure(3, bits)
+    lo_b, hi_b = _atanh_enclosure(5, bits)
+    return (2 * lo_a, 2 * hi_a), (2 * (lo_a + lo_b), 2 * (hi_a + hi_b))
 
 
 # ---------------------------------------------------------------------------
-# Operations of the coefficient field
+# Operations of the coefficient ring
 # ---------------------------------------------------------------------------
 
 def log_of_rational(q) -> LogConstant:
-    """log q as an exact element sum(a_p * l_p) for q = prod(p**a_p) > 0."""
+    """log q as an exact element a*l2 + b*l3 for q = 2**a * 3**b > 0."""
     q = Fraction(q)
     if q <= 0:
         raise ExactError(f"log of non-positive rational {q}")

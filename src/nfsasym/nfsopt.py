@@ -85,7 +85,8 @@ from .dickman import q_truncation
 from .exact import LogConstant, scale_ratio_as_rational
 from .pseries import TruncatedBiSeries, _grlex_key
 
-SIGN_CHECK_EPS = 1e-12
+# the finest enclosure of log 2 and log 3, in bits, that _exact_sign tries
+_SIGN_MAX_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +525,23 @@ def _integer_targets(k: int) -> list[tuple]:
 
 
 def _exact_sign(value: LogConstant, context: str) -> int:
-    """Sign of an exact constant; 0 only for the exact zero.  Nonzero values
-    are signed by float evaluation with a guard band, since algebraic
-    independence of log 2 and log 3 is not something we get to assume."""
-    if value.is_zero():
-        return 0
-    v = value.eval_f64()
-    if abs(v) < SIGN_CHECK_EPS:
-        raise NfsoptError(
-            f"{context}: cannot certify sign of {value} (evaluates to {v})"
-        )
-    return 1 if v > 0 else -1
+    """Sign of an exact constant; 0 only for the exact zero.  A non-rational
+    value is signed by rational enclosures of log 2 and log 3, refined until
+    its enclosure excludes 0, since algebraic independence of log 2 and log 3
+    is not something we get to assume."""
+    if value.is_rational():
+        q = value.as_fraction()
+        return (q > 0) - (q < 0)
+    bits = 64
+    while bits <= _SIGN_MAX_BITS:
+        lo, hi = value.enclose(bits)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+    raise NfsoptError(
+        f"{context}: cannot certify sign of {value}"
+        f" (encloses 0 at {_SIGN_MAX_BITS} bits: [{float(lo)!r}, {float(hi)!r}])"
+    )
 
 
 def _layer_symbols(k: int) -> list[Symbol]:
@@ -614,6 +621,8 @@ def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
                 mono, detail=str(poly),
             )
         coeff = poly.coeff_linear(sym)
+        if not coeff.is_rational():
+            return False  # not a unit of Q[l2, l3]: deferred like a nonlinear one
         value = -(poly.constant() / coeff)
         want = state.a_value_at(sym[1:])
         if sym[0] == "b" and value != want:

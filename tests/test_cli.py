@@ -138,6 +138,27 @@ class TestCacheReadPath:
         assert verify_calls == [str(small), str(large)]
         assert cachemod.load_proven(1).degA == cpe4.candidate.degA
 
+    @pytest.mark.parametrize("corrupt", ["zero-denominator", "missing-A", "terms-list"])
+    def test_malformed_file_skipped(self, capsys, cache_env, cpe2, corrupt):
+        from nfsasym.nfsopt import compute_proven_expansion
+
+        large = save_expansion(compute_proven_expansion(3))
+        _, clean, _ = run(capsys, "xi", "--degree", "2", "--loglogN", "26")
+        small = save_expansion(cpe2)
+        assert (small.name, large.name) == ("expansion_deg3.json", "expansion_deg4.json")
+        payload = json.loads(small.read_text())
+        if corrupt == "zero-denominator":
+            payload["A"]["terms"]["6,0"] = "(1/0)"
+        elif corrupt == "missing-A":
+            del payload["A"]
+        else:
+            payload["D"]["terms"] = []
+        small.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "xi", "--degree", "2", "--loglogN", "26")
+        assert code == 0 and out == clean
+        with pytest.raises(cachemod.CacheError, match="malformed"):
+            load_expansion(small)
+
     def test_unparseable_names_ignored(self, cache_env, cpe2):
         path = save_expansion(cpe2)
         shutil.copy(path, path.with_name("expansion_degX.json"))
@@ -150,6 +171,11 @@ class TestNumericCommands:
         code, out, _ = run(capsys, "rho", "--u", "2", "--method", "dde")
         assert code == 0
         assert "0.30685281944" in out
+
+    @pytest.mark.parametrize("u", ["nan", "-1"])
+    def test_rho_outside_domain(self, capsys, u):
+        code, _, err = run(capsys, "rho", "--u", u)
+        assert code == 1 and f"rho needs u >= 0, got {float(u)}" in err
 
     def test_rho_series(self, capsys):
         code, out, _ = run(capsys, "rho", "--u", "30", "--method", "series", "--order", "4")

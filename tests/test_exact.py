@@ -2,27 +2,22 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from nfsasym.exact import (
-    EvalError, ExactError, LogConstant, NearZeroWarning, RadicalScale,
-    factor_positive_rational, generators_seen, log_of_rational,
-    restore_generator_registry, scale_log,
-    scale_ratio_as_rational, snapshot_generator_registry,
-    unexpected_generator_events,
+    ExactError, LogConstant, NearZeroWarning, RadicalScale,
+    factor_positive_rational, log_of_rational, scale_log, scale_ratio_as_rational,
 )
 
-from conftest import L2, L3, random_logconstant
+from conftest import L2, L3, random_logconstant, random_rational
 
 
-@pytest.fixture(autouse=True)
-def _registry_guard():
-    # several tests here introduce generators beyond l2, l3 on purpose;
-    # keep that from leaking into the rest of the suite
-    snapshot = snapshot_generator_registry()
-    yield
-    restore_generator_registry(snapshot)
+def random_smooth_rational(rng: random.Random) -> Fraction:
+    """A random 2*3-smooth positive rational, 2**a * 3**b."""
+    return Fraction(2) ** rng.randint(-8, 8) * Fraction(3) ** rng.randint(-6, 6)
 
 
 class TestLogOfRational:
@@ -33,10 +28,13 @@ class TestLogOfRational:
         assert log_of_rational(1) == LogConstant.zero()
 
     def test_new_generator_flagged(self):
-        value = log_of_rational(Fraction(5, 3))
-        assert value == LogConstant.gen(5) - L3
-        assert 5 in generators_seen()
-        assert 5 in unexpected_generator_events()
+        # log 5 is outside Q[l2, l3]: every way in raises
+        with pytest.raises(ExactError):
+            log_of_rational(Fraction(5, 3))
+        with pytest.raises(ExactError):
+            LogConstant.gen(5)
+        with pytest.raises(ExactError):
+            LogConstant.parse("(1)*l5 + (-1)*l3")
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ExactError):
@@ -47,9 +45,10 @@ class TestLogOfRational:
     def test_multiplicativity(self):
         rng = random.Random(7)
         for _ in range(200):
-            p = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-            q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            p, q = random_smooth_rational(rng), random_smooth_rational(rng)
             assert log_of_rational(p * q) == log_of_rational(p) + log_of_rational(q)
+            with pytest.raises(ExactError):
+                log_of_rational(p * rng.choice((5, 7, Fraction(1, 11))))
 
 
 class TestScales:
@@ -110,11 +109,13 @@ class TestEvalF64:
     def test_agrees_with_float_log(self):
         rng = random.Random(11)
         for _ in range(100):
-            q = Fraction(rng.randint(1, 500), rng.randint(1, 500))
+            q = random_smooth_rational(rng)
             got = log_of_rational(q).eval_f64()
             if got == 0.0 and q == 1:
                 continue
             assert abs(got - math.log(q)) <= 1e-12 * max(abs(math.log(q)), 1.0)
+            with pytest.raises(ExactError):
+                log_of_rational(q * 5)
 
     def test_near_zero_warning(self):
         tiny = LogConstant.from_fraction(Fraction(1, 10 ** 13))
@@ -122,12 +123,26 @@ class TestEvalF64:
             tiny.eval_f64()
 
     def test_near_zero_denominator_rejected(self):
-        # denominator l2 - c with c a 16-digit rational approximation of
-        # log 2 evaluates below the guard band
+        # l2 - c with c a 16-digit rational approximation of log 2 is not a
+        # unit, so the quotient is refused before anything is evaluated
         c = Fraction(6931471805599453, 10 ** 16)
-        v = LogConstant.one() / (L2 - c)
-        with pytest.raises(EvalError):
-            v.eval_f64()
+        with pytest.raises(ExactError):
+            LogConstant.one() / (L2 - c)
+
+
+class TestEnclose:
+    def test_brackets_the_value(self):
+        rng = random.Random(5)
+        with mpmath.workprec(400):
+            l2, l3 = mpmath.log(2), mpmath.log(3)
+            for bits in (8, 64, 300):
+                for _ in range(40):
+                    value = random_logconstant(rng) * random_logconstant(rng)
+                    lo, hi = value.enclose(bits)
+                    exact = sum(mpmath.mpf(c.numerator) / c.denominator * l2 ** i * l3 ** j
+                                for (i, j), c in value.terms.items())
+                    assert mpmath.mpf(lo.numerator) / lo.denominator <= exact
+                    assert exact <= mpmath.mpf(hi.numerator) / hi.denominator
 
 
 class TestFieldAxioms:
@@ -147,46 +162,46 @@ class TestFieldAxioms:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_multiplicative_inverse(self, seed):
+        # the units of Q[l2, l3] are the nonzero rationals
         rng = random.Random(seed)
         a = random_logconstant(rng, allow_zero=False)
-        assert a * a.inverse() == LogConstant.one()
-        assert a / a == LogConstant.one()
+        unit = LogConstant.from_fraction(random_rational(rng) or 1)
+        assert unit * unit.inverse() == LogConstant.one()
+        assert (a / unit) * unit == a
+        assert unit ** -2 * unit * unit == LogConstant.one()
+        if not a.is_rational():
+            with pytest.raises(ExactError):
+                a.inverse()
 
-    def test_fraction_field_division(self):
+    def test_non_unit_division_rejected(self):
         a = L2 + 1
         b = L3 * Fraction(1, 2) - L2
-        q = a / b
-        assert q * b == a
+        for op in (lambda: a / b, lambda: 1 / b, lambda: b ** -1, b.inverse):
+            with pytest.raises(ExactError):
+                op()
+        with pytest.raises(ZeroDivisionError):
+            a / 0
 
 
 class TestHashAgreesWithEq:
-    def test_exact_quotient_found(self):
-        # l2^2 + l2*l3 = l2*(l2 + l3), so the value reduces to l2 itself
-        v = (L2 * L2 + L2 * L3) / (L2 + L3)
-        assert v.to_string() == L2.to_string()
-        assert hash(v) == hash(L2)
-
-    def test_common_factor_left_in_place(self):
-        a = (L2 + 1) / (L2 + 2)
-        b = ((L2 + 1) * (L3 + 1)) / ((L3 + 1) * (L2 + 2))
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-
     def test_random_common_factors(self):
+        # a common factor multiplied out or left in place: one value, built
+        # with its terms in different orders
         rng = random.Random(31)
         for _ in range(300):
             x = random_logconstant(rng)
             h = random_logconstant(rng, allow_zero=False)
-            g = random_logconstant(rng, allow_zero=False)
-            a, b = x / h, (x * g) / (h * g)
+            g = random_logconstant(rng)
+            a, b = x * h + g * h, h * (g + x)
             assert a == b
+            assert a.to_string() == b.to_string()
             assert hash(a) == hash(b)
 
     def test_rational_value_hashes_as_fraction(self):
-        v = (L2 * 3 + 3) / (L2 + 1)
+        v = (L2 * 3 + 3) - L2 * 3
         assert v == Fraction(3)
         assert hash(v) == hash(Fraction(3))
+        assert hash(LogConstant.zero()) == hash(0)
 
 
 class TestSerialization:
@@ -198,8 +213,13 @@ class TestSerialization:
         assert (L2 * (-2) + L3 * Fraction(1, 6) - 2).to_compact_string() == "-2*l2 + (1/6)*l3 - 2"
         assert (L2 * L3 - Fraction(1, 2)).to_compact_string() == "l2*l3 - 1/2"
         assert LogConstant.from_fraction(Fraction(-4, 9)).to_compact_string() == "-4/9"
-        v = (L2 + 1) / (L3 - 1)
-        assert v.to_compact_string() == v.to_string()
+
+    def test_display_order(self):
+        # by degree, then ascending in the power of l2 with the pure l3 power
+        # last, the constant at the end
+        v = L3 ** 3 + L2 ** 3 + L2 * L2 * L3 + L2 * L3 * L3 + L3 * L3 + L2 * L2 + L2 * L3 + L3 + L2 + 1
+        assert v.to_compact_string() == (
+            "l2*l3^2 + l2^2*l3 + l2^3 + l3^3 + l2*l3 + l2^2 + l3^2 + l2 + l3 + 1")
 
     def test_round_trip(self):
         rng = random.Random(23)
@@ -208,11 +228,68 @@ class TestSerialization:
             assert LogConstant.parse(value.to_string()) == value
 
     def test_fraction_string(self):
-        v = (L2 + 1) / (L3 - 1)
-        assert LogConstant.parse(v.to_string()) == v
+        # a quotient rendering is outside Q[l2, l3]
+        with pytest.raises(ExactError):
+            LogConstant.parse("((1)*l2 + (1)) / ((1)*l3 + (-1))")
 
 
 def test_factorization():
     assert factor_positive_rational(Fraction(8, 9)) == {2: 3, 3: -2}
     assert factor_positive_rational(1) == {}
     assert factor_positive_rational(Fraction(50, 21)) == {2: 1, 5: 2, 3: -1, 7: -1}
+
+
+class TestSympyOracle:
+    """Ring operations of Q[l2, l3] against sympy's polynomials over QQ."""
+
+    l2, l3 = sympy.symbols("l2 l3")
+
+    def random_pair(self, rng: random.Random) -> tuple[LogConstant, sympy.Poly]:
+        # the same random polynomial of degree <= 4, built independently
+        value, poly = LogConstant.zero(), sympy.Poly(0, self.l2, self.l3, domain=sympy.QQ)
+        for i in range(5):
+            for j in range(5 - i):
+                if rng.random() < 0.4:
+                    c = random_rational(rng, span=40)
+                    value = value + L2 ** i * L3 ** j * c
+                    poly += sympy.Poly(sympy.Rational(c.numerator, c.denominator)
+                                       * self.l2 ** i * self.l3 ** j,
+                                       self.l2, self.l3, domain=sympy.QQ)
+        return value, poly
+
+    def to_sympy(self, value: LogConstant) -> sympy.Poly:
+        return sympy.Poly.from_dict(
+            {m: sympy.Rational(int(c.numerator), int(c.denominator))
+             for m, c in value.terms.items()},
+            self.l2, self.l3, domain=sympy.QQ)
+
+    def test_add_sub_mul(self):
+        rng = random.Random(20261019)
+        for _ in range(150):
+            (a, pa), (b, pb) = self.random_pair(rng), self.random_pair(rng)
+            assert self.to_sympy(a) == pa and self.to_sympy(b) == pb
+            assert self.to_sympy(a + b) == pa + pb
+            assert self.to_sympy(a - b) == pa - pb
+            assert self.to_sympy(a * b) == pa * pb
+            assert all(c != 0 for c in (a * b).terms.values())
+
+    def test_canonical_rendering_and_hash(self):
+        rng = random.Random(77)
+        for _ in range(150):
+            (a, pa), (b, pb), (c, pc) = (self.random_pair(rng) for _ in range(3))
+            x, y = (a + b) * c, c * b + a * c
+            assert (pa + pb) * pc == pc * pb + pa * pc
+            assert x == y
+            assert x.to_string() == y.to_string()
+            assert hash(x) == hash(y)
+            assert LogConstant.parse(x.to_string()) == x
+            assert (x == a) == (self.to_sympy(x) == pa)
+
+    def test_non_rational_divisor_raises(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            (a, _), (b, pb) = self.random_pair(rng), self.random_pair(rng)
+            if pb.is_ground:
+                continue
+            with pytest.raises(ExactError):
+                a / b

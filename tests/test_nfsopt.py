@@ -6,7 +6,7 @@ import pytest
 
 from nfsasym import nfsopt
 from nfsasym.asym import FoldEvent
-from nfsasym.exact import LogConstant, generators_seen
+from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import (
     CandidateExpansion, ContradictionError, ExistenceFailure,
     UnknownPoly, UnknownShapeError,
@@ -313,6 +313,56 @@ class TestProveMinimality:
         assert halves and all(not b and not d for _, b, d in halves)
 
 
+class TestSolveTarget:
+    @staticmethod
+    def layer_three(scale, shift=0):
+        # the degree-3 layer after layers 1 and 2 are solved, with the
+        # equation that pins the B unknown of target X^3 linearly (at
+        # X^(3/2) Y) multiplied by `scale` and shifted by `shift`
+        state = nfsopt._run_schedule(1)
+        series, _ = nfsopt._expand_layer(state.A, state.D, nfsopt._layer_symbols(3), 3,
+                                         nfsopt._q_order(3))
+        terms = dict(series.terms)
+        terms[(3, 2)] = terms[(3, 2)] * scale + shift
+        return state, TruncatedBiSeries._make(series.order2, terms, series.ymax2)
+
+    def test_non_rational_coefficient_deferred(self):
+        state, series = self.layer_three(1)
+        nfsopt._solve_target(state, series, [], (6, 0))
+        assert state.log.steps[-1].pinned_by == "b:linear,d:square"
+        # l2 is not a unit, so the scaled equation is not solved for B; the
+        # square pins B and the deferred equation then vanishes
+        scaled, series = self.layer_three(L2)
+        nfsopt._solve_target(scaled, series, [], (6, 0))
+        step = scaled.log.steps[-1]
+        assert step.pinned_by == "b:square,d:square"
+        assert dict(step.pendings)[(F(3, 2), F(1))] == "vanished"
+        assert scaled.A[(6, 0)] == state.A[(6, 0)] == LogConstant.from_fraction(F(32, 81))
+
+    def test_non_rational_coefficient_unresolved(self):
+        state, series = self.layer_three(L2, L3)
+        with pytest.raises(nfsopt.GuessFailure, match="unresolved coefficient below the target"):
+            nfsopt._solve_target(state, series, [], (6, 0))
+
+
+class TestExactSign:
+    def test_rational(self):
+        assert nfsopt._exact_sign(LogConstant.from_fraction(F(-3, 2)), "t") == -1
+        assert nfsopt._exact_sign(LogConstant.zero(), "t") == 0
+
+    def test_close_to_log_two(self):
+        # 9.4e-18 above 0: inside the old float guard band, decided by enclosure
+        c = F(6931471805599453, 10 ** 16)
+        assert nfsopt._exact_sign(L2 - c, "t") == 1
+        assert nfsopt._exact_sign(c - L2, "t") == -1
+        assert nfsopt._exact_sign(L2 * L3 - L3 * c, "t") == 1
+
+    def test_undecided_past_the_cap(self):
+        lo, hi = L2.enclose(2 * nfsopt._SIGN_MAX_BITS)
+        with pytest.raises(nfsopt.NfsoptError, match="cannot certify sign"):
+            nfsopt._exact_sign(L2 - (lo + hi) / 2, "t")
+
+
 class TestComputeProvenExpansion:
     def test_degree_two_pipeline(self, cpe2):
         cand = cpe2.candidate
@@ -344,9 +394,11 @@ class TestComputeProvenExpansion:
         assert any(got.coefficient(*key) != want for key, want in table.items())
 
     def test_coefficients_stay_in_q_l2_l3(self, cpe8):
-        assert generators_seen() <= {2, 3}
-        for coeff in cpe8.candidate.A.terms.values():
-            assert {p for mono in coeff.num for p, _ in mono} <= {2, 3}
+        # every coefficient is a plain LogConstant, and the one at X^i Y^j has
+        # degree at most j in l2, l3 (a01 is linear, a02 quadratic, ...)
+        for (dx, dy), coeff in cpe8.candidate.A.terms.items():
+            assert type(coeff) is LogConstant
+            assert all(i + j <= dy // 2 for i, j in coeff.terms), (dx, dy)
 
     def test_proof_log_adjacency(self, cpe2):
         assert cpe2.proof_log.check_pattern_adjacency()
