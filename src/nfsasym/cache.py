@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .exact import LogConstant
-from .nfsopt import CandidateExpansion, ExpansionResult, ProofLog, constraint_residual
+from .nfsopt import CandidateExpansion, ExpansionResult, NfsoptError, ProofLog, constraint_residual
 from .pseries import TruncatedBiSeries
 
 ENGINE_VERSION = "nfsasym-0.1.0"
@@ -144,8 +144,13 @@ def load_proven(min_degree: int) -> Optional[CandidateExpansion]:
 
 def verify_expansion(cand: CandidateExpansion, source: str = "cache") -> None:
     """Re-derive the constraint and demand every coefficient through the
-    cached degree vanishes; rejects any tampered coefficient."""
-    residual = constraint_residual(cand, order=cand.degA)
+    cached degree vanishes; rejects any tampered coefficient, also one on
+    which the constraint cannot be rebuilt at all."""
+    try:
+        residual = constraint_residual(cand, order=cand.degA)
+    except (ValueError, ZeroDivisionError, NfsoptError) as exc:
+        # ValueError covers SeriesError, AsymError and ExactError
+        raise CacheVerificationError(f"{source}: constraint cannot be rebuilt: {exc!r}") from exc
     if not residual.is_zero():
         bad = residual.sorted_exponents()[0]
         raise CacheVerificationError(

@@ -216,8 +216,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_keysize(args) -> int:
-    if not (args.to_bits > args.from_bits > 1):
-        raise UsageError("need to-bits > from-bits > 1")
+    if not (math.inf > args.to_bits > args.from_bits > 1):
+        raise UsageError("need finite to-bits > from-bits > 1")
     if args.degree < 0:
         raise UsageError("--degree must be >= 0")
     if args.degree > 0:

@@ -224,8 +224,8 @@ def s_numeric(eta: float) -> float:
 
 def integral_s_numeric(u: float) -> float:
     """integral_e^u s(eta) d(eta) by adaptive quadrature after eta = e^t."""
-    if not u > math.e:
-        raise DomainError(f"integral needs u > e, got {u}")
+    if not math.e < u < math.inf:
+        raise DomainError(f"integral needs finite u > e, got {u}")
     value, _err = _sc_integrate.quad(
         lambda t: s_numeric(math.exp(t)) * math.exp(t),
         1.0, math.log(u), epsrel=1e-10, epsabs=0.0, limit=400,
@@ -356,8 +356,8 @@ class DeBruijnRho:
 
 
 def log_rho_debruijn(u: float, order: int) -> DeBruijnRho:
-    if not u > math.e:
-        raise DomainError(f"asymptotic rho needs u > e, got {u}")
+    if not math.e < u < math.inf:
+        raise DomainError(f"asymptotic rho needs finite u > e, got {u}")
     if order < 0:
         raise DomainError("order must be >= 0")
     x, y = xy_of(u)

@@ -77,15 +77,15 @@ def xi_truncation(cand: CandidateExpansion, i: int) -> XiTruncation:
 
 def xi_eval(cand: CandidateExpansion, i: int, nu: float) -> float:
     """A^(i)(X(nu), Y(nu)) - 1; needs nu > e^e so that X, Y lie in (0, 1)."""
-    if not nu > math.exp(math.e):
-        raise EvalError(f"xi evaluation needs nu > e^e, got {nu}")
+    if not math.exp(math.e) < nu < math.inf:
+        raise EvalError(f"xi evaluation needs finite nu > e^e, got {nu}")
     return xi_truncation(cand, i).eval(nu)
 
 
 def xi_eval_loglog(cand: CandidateExpansion, i: int, loglognu: float) -> float:
     """xi_i parametrized by loglog(nu), for sizes where nu overflows."""
-    if not loglognu > 1.0:
-        raise EvalError(f"xi evaluation needs loglog nu > 1, got {loglognu}")
+    if not 1.0 < loglognu < math.inf:
+        raise EvalError(f"xi evaluation needs finite loglog nu > 1, got {loglognu}")
     return xi_truncation(cand, i).eval_loglog(loglognu)
 
 
@@ -102,8 +102,8 @@ def xi_gap_loglog(cand: CandidateExpansion, i: int, loglognu: float) -> float:
 
 def complexity_log(cand: CandidateExpansion, nu: float, i: int) -> float:
     """log C(N) for nu = log N under the degree-i truncation."""
-    if not nu > math.exp(math.e):
-        raise EvalError(f"complexity evaluation needs nu > e^e, got {nu}")
+    if not math.exp(math.e) < nu < math.inf:
+        raise EvalError(f"complexity evaluation needs finite nu > e^e, got {nu}")
     xi = xi_eval(cand, i, nu)
     return CBRT_64_9 * nu ** (1.0 / 3.0) * math.log(nu) ** (2.0 / 3.0) * (1.0 + xi)
 
@@ -117,8 +117,8 @@ class GDemo:
 
 def g_demo(bits: float) -> GDemo:
     """log2 of g0(N) and g(N) at N = 2^bits."""
-    if not bits > 1.0:
-        raise EvalError(f"g_demo needs bits > 1, got {bits}")
+    if not 1.0 < bits < math.inf:
+        raise EvalError(f"g_demo needs finite bits > 1, got {bits}")
     nu = bits * LOG2
     lognu = math.log(nu)
     base = nu ** (1.0 / 3.0) * lognu ** (2.0 / 3.0)

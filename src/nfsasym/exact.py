@@ -244,8 +244,9 @@ class LogConstant:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -462,14 +463,6 @@ class RadicalScale:
         for p, e in other.exps.items():
             exps[p] = exps.get(p, Fraction(0)) - e
         return RadicalScale(self.coeff / other.coeff, exps)
-
-    def __pow__(self, n) -> "RadicalScale":
-        n = Fraction(n)
-        exps = {p: e * n for p, e in self.exps.items()}
-        coeff_exps = {p: Fraction(e) * n for p, e in factor_positive_rational(self.coeff).items()}
-        for p, e in coeff_exps.items():
-            exps[p] = exps.get(p, Fraction(0)) + e
-        return RadicalScale(1, exps)
 
     def __eq__(self, other):
         if not isinstance(other, RadicalScale):

@@ -13,11 +13,12 @@ with A(0,0) = B(0,0) = D(0,0) = 1, and the constraint
 
     p((a + nu/d)/b) + p((d*a + nu/d)/b) + 2a - b = 0
 
-is expanded with the smoothness map p of the asym module, then divided by
-the scale of a.  The trial series hold the known coefficients as plain
-LogConstant values and each unknown as an UnknownPoly; the series engine
-mixes the two, and each coefficient of the resulting series is an exact
-polynomial (of degree <= 2) in the currently unknown coefficients.
+is expanded with the smoothness map p of the asym module, its series Q
+truncated at the expansion's own order, then divided by the scale of a.
+The trial series hold the known coefficients as plain LogConstant values
+and each unknown as an UnknownPoly; the series engine mixes the two, and
+each coefficient of the resulting series is an exact polynomial (of degree
+<= 2) in the currently unknown coefficients.
 
 Solving schedule.  A's monomials are targeted one at a time in graded-lex
 order (X before Y), one degree layer after the other.  The constraint is
@@ -140,7 +141,7 @@ class ContradictionError(ProofFailure):
 # ---------------------------------------------------------------------------
 
 Symbol = tuple  # ("a", dx, dy) | ("b", dx, dy) | ("d", dx, dy)
-UMono = tuple   # sorted tuple of (Symbol, power)
+UMono = tuple   # sorted tuple of symbols, one per factor: (), (s,) or (s, t)
 
 
 class UnknownPoly:
@@ -148,7 +149,9 @@ class UnknownPoly:
 
     The degree cap is the structural invariant of the constraint expansion:
     a cubic term would mean the truncation-order bookkeeping is broken, so
-    multiplication aborts instead of silently carrying it.
+    multiplication aborts instead of silently carrying it.  A monomial is
+    the sorted tuple of its symbols, one entry per factor, so no power is
+    ever stored: a square is (s, s).
     """
 
     __slots__ = ("terms",)
@@ -169,7 +172,7 @@ class UnknownPoly:
 
     @staticmethod
     def from_symbol(sym: Symbol) -> "UnknownPoly":
-        return UnknownPoly({((sym, 1),): LogConstant.one()})
+        return UnknownPoly({(sym,): LogConstant.one()})
 
     def _coerce(self, other):
         if isinstance(other, UnknownPoly):
@@ -248,32 +251,33 @@ class UnknownPoly:
         return self.terms.get((), LogConstant.zero())
 
     def unknowns(self) -> set[Symbol]:
-        return {sym for m in self.terms for sym, _ in m}
+        return {sym for m in self.terms for sym in m}
 
     def degree(self) -> int:
-        return max((sum(p for _, p in m) for m in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def coeff_linear(self, sym: Symbol) -> LogConstant:
-        return self.terms.get(((sym, 1),), LogConstant.zero())
+        return self.terms.get((sym,), LogConstant.zero())
 
     def coeff_square(self, sym: Symbol) -> LogConstant:
-        return self.terms.get(((sym, 2),), LogConstant.zero())
+        return self.terms.get((sym, sym), LogConstant.zero())
 
     def coeff_cross(self, s1: Symbol, s2: Symbol) -> LogConstant:
-        key = tuple(sorted(((s1, 1), (s2, 1))))
-        return self.terms.get(key, LogConstant.zero())
+        if s1 == s2:
+            return LogConstant.zero()
+        return self.terms.get((s1, s2) if s1 < s2 else (s2, s1), LogConstant.zero())
 
     def substitute(self, values: dict[Symbol, LogConstant]) -> "UnknownPoly":
-        if not values or not any(sym in values for m in self.terms for sym, _ in m):
+        if not values or not any(sym in values for m in self.terms for sym in m):
             return self
         out: dict[UMono, LogConstant] = {}
         for m, c in self.terms.items():
             residual = []
-            for sym, p in m:
+            for sym in m:
                 if sym in values:
-                    c = c * values[sym] ** p
+                    c = c * values[sym]
                 else:
-                    residual.append((sym, p))
+                    residual.append(sym)
             key = tuple(residual)
             s = out.get(key)
             s = c if s is None else s + c
@@ -295,10 +299,9 @@ class UnknownPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            mono = "*".join(
-                _symbol_name(sym) + ("" if p == 1 else f"^{p}") for sym, p in m
-            )
+        # fewer distinct unknowns first, then by symbol, a square after its linear term
+        for m, c in sorted(self.terms.items(), key=lambda kv: (len(set(kv[0])), kv[0])):
+            mono = _umono_str(m)
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 
@@ -308,15 +311,16 @@ def _umono_mul(m1: UMono, m2: UMono) -> UMono:
         return m2
     if not m2:
         return m1
-    merged = dict(m1)
-    for sym, p in m2:
-        merged[sym] = merged.get(sym, 0) + p
-    if sum(merged.values()) > 2:
+    if len(m1) + len(m2) > 2:
         raise UnknownShapeError(
-            "constraint expansion produced unknown degree > 2: "
-            + "*".join(f"{_symbol_name(s)}^{p}" for s, p in merged.items())
-        )
-    return tuple(sorted(merged.items()))
+            "constraint expansion produced unknown degree > 2: " + _umono_str(m1 + m2, "^1"))
+    return m1 + m2 if m1 <= m2 else m2 + m1
+
+
+def _umono_str(m: UMono, first_power: str = "") -> str:
+    # each distinct symbol once, in order of first appearance, as s^2 when repeated
+    return "*".join(_symbol_name(sym) + (first_power if m.count(sym) == 1 else f"^{m.count(sym)}")
+                    for sym in dict.fromkeys(m))
 
 
 def _symbol_name(sym: Symbol) -> str:
@@ -409,18 +413,17 @@ def build_constraint(
     B: TruncatedBiSeries,
     D: TruncatedBiSeries,
     order,
-    q_order: Optional[int] = None,
     audit: Optional[list] = None,
 ) -> ScaledAsymptotic:
     """p(u0) + p(u1) + 2a - b, normalized by the scale of a.
 
-    u0 = (a + nu/d)/b and u1 = (d*a + nu/d)/b; the smoothness order defaults
-    to order.  That is exact: X(u) and Y(u) have no constant term, so a term
-    of Q beyond degree `order` composes to terms beyond it.
+    u0 = (a + nu/d)/b and u1 = (d*a + nu/d)/b; the smoothness series Q is
+    expanded to `order` itself.  That is exact: X(u) and Y(u) have no
+    constant term, so a term of Q beyond degree `order` composes to terms
+    beyond it.
     """
-    if q_order is None:
-        q_order = int(order)
-    q = q_truncation(q_order)
+    n = int(order)
+    q = q_truncation(n)
 
     a = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), A)
     b = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), B)
@@ -431,7 +434,7 @@ def build_constraint(
     u0 = asym_div(asym_add(a, nu_over_d, audit), b)
     u1 = asym_div(asym_add(asym_mul(d, a), nu_over_d, audit), b)
 
-    total = asym_add(p_of(u0, q_order, q), p_of(u1, q_order, q), audit)
+    total = asym_add(p_of(u0, n, q), p_of(u1, n, q), audit)
     total = asym_add(total, asym_scalar_mul(a, 2), audit)
     total = asym_add(total, asym_neg(b), audit)
 
@@ -447,7 +450,7 @@ def build_constraint(
     return ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), series)
 
 
-def constraint_residual(cand: CandidateExpansion, order=None, q_order=None) -> TruncatedBiSeries:
+def constraint_residual(cand: CandidateExpansion, order=None) -> TruncatedBiSeries:
     """Normalized constraint series for a plain candidate (no unknowns).
 
     A series shorter than `order` enters zero-padded up to it.
@@ -455,7 +458,7 @@ def constraint_residual(cand: CandidateExpansion, order=None, q_order=None) -> T
     if order is None:
         order = cand.degA
     A, B, D = (s.truncate(min(order, s.order)).with_order(order) for s in (cand.A, cand.B, cand.D))
-    return build_constraint(A, B, D, order, q_order=q_order).series
+    return build_constraint(A, B, D, order).series
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +517,6 @@ class _State:
         )
 
 
-def _q_order(order: int, cap: Optional[int] = None) -> int:
-    # smoothness order for an expansion at `order`, capped
-    return order if cap is None else min(order, cap)
-
-
 def _integer_targets(k: int) -> list[tuple]:
     # doubled exponents of degree-k integer monomials, graded-lex (X-heavy first)
     return [(2 * (k - i), 2 * i) for i in range(k + 1)]
@@ -563,7 +561,7 @@ def _known_values(k: int, A: dict, D: dict, free: tuple) -> dict[Symbol, LogCons
 
 
 def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
-                  q_order: int, y_max=None) -> tuple[TruncatedBiSeries, list]:
+                  y_max=None) -> tuple[TruncatedBiSeries, list]:
     """Expand the constraint once at `order` over the known A and D
     coefficients, B being A's a = b copy, with `symbols` attached on top;
     modulo every term of Y exponent above `y_max` when it is given.
@@ -578,7 +576,7 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
     if y_max is not None:
         trials = [t.y_bounded(y_max) for t in trials]
     audit: list = []
-    series = build_constraint(*trials, order, q_order=q_order, audit=audit).series
+    series = build_constraint(*trials, order, audit=audit).series
     # coefficients no unknown reached come out as plain LogConstant values
     polys = {e: c if isinstance(c, UnknownPoly) else UnknownPoly.from_logconst(c)
              for e, c in series.terms.items()}
@@ -794,13 +792,12 @@ def _frac_pair(mono: tuple) -> tuple:
     return (Fraction(mono[0], 2), Fraction(mono[1], 2))
 
 
-def _run_schedule(n: int, q_order_cap: Optional[int] = None) -> _State:
+def _run_schedule(n: int) -> _State:
     """Solve every integer target of A through degree n+1, in schedule order,
     expanding the constraint once per degree layer."""
     state = _State()
     for k in range(1, n + 2):
-        series, audit = _expand_layer(
-            state.A, state.D, _layer_symbols(k), k, _q_order(k, q_order_cap))
+        series, audit = _expand_layer(state.A, state.D, _layer_symbols(k), k)
         state.layers[k] = series
         absorptions = [ev.describe() for ev in audit]
         for target in _integer_targets(k):
@@ -812,7 +809,7 @@ def _run_schedule(n: int, q_order_cap: Optional[int] = None) -> _State:
 # Public algorithms
 # ---------------------------------------------------------------------------
 
-def guess_terms(n: int, q_order_cap: Optional[int] = None) -> CandidateExpansion:
+def guess_terms(n: int) -> CandidateExpansion:
     """Walk the solving schedule for a degree-n run and return its candidate.
 
     The slot schedule trails the targets at half their degree, so pinning
@@ -825,7 +822,7 @@ def guess_terms(n: int, q_order_cap: Optional[int] = None) -> CandidateExpansion
     """
     if n < 1:
         raise ValueError("guess_terms needs n >= 1")
-    return _run_schedule(n, q_order_cap).candidate(n + 1, "guessed")
+    return _run_schedule(n).candidate(n + 1, "guessed")
 
 
 def _certify_existence(k: int, series: TruncatedBiSeries, cand: CandidateExpansion,
@@ -874,7 +871,7 @@ def _certify_existence(k: int, series: TruncatedBiSeries, cand: CandidateExpansi
     return ExistenceCertificate(degree=k, kappa=kappa, slope=slope.as_fraction())
 
 
-def prove_existence(n: int, cand: CandidateExpansion, q_order_cap: Optional[int] = None,
+def prove_existence(n: int, cand: CandidateExpansion,
                     *, _layer: Optional[TruncatedBiSeries] = None) -> ExistenceCertificate:
     """Certify functions matching A^(n+1), B^(n+1), D^((n+1)/2) exist on the
     constraint, by pinning a pure-X tail perturbation of A at degree n+2.
@@ -904,24 +901,22 @@ def prove_existence(n: int, cand: CandidateExpansion, q_order_cap: Optional[int]
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
     A, D = cand.A.truncate(n + 1), cand.D.truncate(Fraction(n + 1, 2))
     tail = [("a", 2 * (n + 2), 0)]
-    q_order = _q_order(n + 2, q_order_cap)
     if A.has_integer_exponents() and D.has_integer_exponents():
-        top, audit = _expand_layer(A.terms, D.terms, tail, n + 2, q_order, y_max=0)
+        top, audit = _expand_layer(A.terms, D.terms, tail, n + 2, y_max=0)
         if all(ev.gap.denominator == 1 for ev in audit if isinstance(ev, FoldEvent)):
             if _layer is None:
-                low, _ = _expand_layer(A.terms, D.terms, [], n + 1, _q_order(n + 1, q_order_cap))
+                low, _ = _expand_layer(A.terms, D.terms, [], n + 1)
             else:
                 values = _known_values(n + 1, A.terms, D.terms, ())
                 low = TruncatedBiSeries._make(
                     _layer.order2, {e: p.substitute(values) for e, p in _layer.terms.items()})
             return _certify_existence(n, low, cand, top)
-    series, _ = _expand_layer(A.terms, D.terms, tail, n + 2, q_order)
+    series, _ = _expand_layer(A.terms, D.terms, tail, n + 2)
     return _certify_existence(n, series, cand)
 
 
 def prove_minimality(n: int, cand: CandidateExpansion,
-                     cert: ExistenceCertificate,
-                     q_order_cap: Optional[int] = None) -> ProofLog:
+                     cert: ExistenceCertificate) -> ProofLog:
     """Check a supplied candidate against a freshly derived proof log.
 
     The schedule is walked once through degree n+1, independently of cand;
@@ -935,7 +930,7 @@ def prove_minimality(n: int, cand: CandidateExpansion,
         raise ValueError(f"existence certified only at degree {cert.degree}, need {n}")
     if cand.degA < n + 1:
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
-    log = _run_schedule(n, q_order_cap).log
+    log = _run_schedule(n).log
     _check_adjacency(log, n)
     for step in log.steps:
         checks = [("A", step.target, step.kappa_a, cand.A)]
@@ -953,7 +948,7 @@ def prove_minimality(n: int, cand: CandidateExpansion,
     return log
 
 
-def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> ExpansionResult:
+def compute_proven_expansion(n: int) -> ExpansionResult:
     """Prove the degree-n expansion in one schedule pass.
 
     The schedule solves A through degree n+1 and its log is the proof
@@ -968,11 +963,11 @@ def compute_proven_expansion(n: int, q_order_cap: Optional[int] = None) -> Expan
     certificates: list[ExistenceCertificate] = []
     cand: Optional[CandidateExpansion] = None
     try:
-        state = _run_schedule(n, q_order_cap)
+        state = _run_schedule(n)
         cand = state.candidate(n + 1, "guessed")
         for k in range(1, n):
             certificates.append(_certify_existence(k, state.layers[k + 2], cand))
-        certificates.append(prove_existence(n, cand, q_order_cap, _layer=state.layers[n + 1]))
+        certificates.append(prove_existence(n, cand, _layer=state.layers[n + 1]))
         _check_adjacency(cand.guess_log, n)
     except ProofFailure as exc:
         partial = exc.partial or cand or _State().candidate(0, "guessed")

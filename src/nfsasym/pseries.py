@@ -279,19 +279,6 @@ class TruncatedBiSeries:
             terms[(dx, dy - 2)] = c
         return TruncatedBiSeries._make(max(self.order2 - 2, 0), terms)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("series powers must be non-negative integers")
-        out = self._one_like()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def _coerce_series(self, other):
         if isinstance(other, TruncatedBiSeries):
             return other

@@ -138,7 +138,11 @@ class TestCacheReadPath:
         assert verify_calls == [str(small), str(large)]
         assert cachemod.load_proven(1).degA == cpe4.candidate.degA
 
-    @pytest.mark.parametrize("corrupt", ["zero-denominator", "missing-A", "terms-list"])
+    @pytest.mark.parametrize("corrupt", [
+        "zero-denominator", "missing-A", "terms-list",
+        # these parse, and fail while the constraint is rebuilt
+        "D-constant-missing", "A-constant-negative", "A-constant-l2", "D-constant-l2",
+    ])
     def test_malformed_file_skipped(self, capsys, cache_env, cpe2, corrupt):
         from nfsasym.nfsopt import compute_proven_expansion
 
@@ -151,13 +155,22 @@ class TestCacheReadPath:
             payload["A"]["terms"]["6,0"] = "(1/0)"
         elif corrupt == "missing-A":
             del payload["A"]
-        else:
+        elif corrupt == "terms-list":
             payload["D"]["terms"] = []
+        elif corrupt == "D-constant-missing":
+            del payload["D"]["terms"]["0,0"]
+        else:
+            series, value = corrupt.split("-constant-")
+            payload[series]["terms"]["0,0"] = {"negative": "(-1)", "l2": "(1)*l2"}[value]
         small.write_text(json.dumps(payload))
         code, out, _ = run(capsys, "xi", "--degree", "2", "--loglogN", "26")
         assert code == 0 and out == clean
-        with pytest.raises(cachemod.CacheError, match="malformed"):
-            load_expansion(small)
+        if "-constant-" in corrupt:
+            with pytest.raises(CacheVerificationError, match="cannot be rebuilt"):
+                load_expansion(small)
+        else:
+            with pytest.raises(cachemod.CacheError, match="malformed"):
+                load_expansion(small)
 
     def test_unparseable_names_ignored(self, cache_env, cpe2):
         path = save_expansion(cpe2)
@@ -176,6 +189,19 @@ class TestNumericCommands:
     def test_rho_outside_domain(self, capsys, u):
         code, _, err = run(capsys, "rho", "--u", u)
         assert code == 1 and f"rho needs u >= 0, got {float(u)}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rho", "--u", "inf", "--method", "series"), "asymptotic rho needs finite u > e, got inf"),
+        (("xi", "--degree", "1", "--nu", "inf"), "xi evaluation needs finite nu > e^e, got inf"),
+        (("xi", "--degree", "1", "--loglogN", "inf"),
+         "xi evaluation needs finite loglog nu > 1, got inf"),
+        (("keysize", "--from-bits", "512", "--to-bits", "inf", "--degree", "1"),
+         "usage error: need finite to-bits > from-bits > 1"),
+    ], ids=["rho-series", "xi-nu", "xi-loglogN", "keysize-to-bits"])
+    def test_non_finite_input_rejected(self, capsys, cache_env, cpe2, argv, message):
+        save_expansion(cpe2)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and message in err
 
     def test_rho_series(self, capsys):
         code, out, _ = run(capsys, "rho", "--u", "30", "--method", "series", "--order", "4")

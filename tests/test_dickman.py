@@ -152,6 +152,10 @@ class TestIntegralS:
         with pytest.raises(DomainError):
             integral_s_numeric(2.0)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            integral_s_numeric(math.inf)
+
 
 def rho3_trapezoid_oracle(step: float = 1e-5) -> float:
     """Brute-force forward trapezoid integration of u rho'(u) = -rho(u-1)
@@ -237,6 +241,10 @@ class TestDeBruijn:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_rho_debruijn(2.0, 4)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            log_rho_debruijn(math.inf, 4)
 
 
 class TestRadius:

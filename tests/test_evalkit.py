@@ -79,6 +79,18 @@ class TestComplexity:
         assert abs(r - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda cand: xi_eval(cand, 1, math.inf),
+    lambda cand: xi_eval_loglog(cand, 1, math.inf),
+    lambda cand: complexity_log(cand, math.inf, 1),
+    lambda cand: g_demo(math.inf),
+], ids=["xi_eval", "xi_eval_loglog", "complexity_log", "g_demo"])
+def test_non_finite_input_rejected(cpe2, evaluate):
+    # an infinite size would evaluate to nan instead of failing
+    with pytest.raises(EvalError, match="finite"):
+        evaluate(cpe2.candidate)
+
+
 class TestGDemo:
     def test_reference_exponents(self):
         d = g_demo(2048.0)

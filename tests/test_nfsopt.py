@@ -6,6 +6,7 @@ import pytest
 
 from nfsasym import nfsopt
 from nfsasym.asym import FoldEvent
+from nfsasym.dickman import q_truncation
 from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import (
     CandidateExpansion, ContradictionError, ExistenceFailure,
@@ -54,6 +55,17 @@ class TestUnknownPoly:
         got = p.substitute({("b", 1, 0): LogConstant.from_fraction(F(1, 2))})
         assert got == a + LogConstant.from_fraction(F(-1, 4))
 
+    def test_str(self):
+        # fewer distinct unknowns first, then by symbol, a square as s^2
+        a = UnknownPoly.from_symbol(("a", 2, 0))
+        b = UnknownPoly.from_symbol(("b", 1, 0))
+        d = UnknownPoly.from_symbol(("d", 1, 0))
+        p = (a + b) * b * 3 + d * d - b * d + a - 5
+        assert str(p) == (
+            "((-5)) + ((1))*a[1,0] + ((3))*b[1/2,0]^2 + ((1))*d[1/2,0]^2"
+            " + ((3))*a[1,0]*b[1/2,0] + ((-1))*b[1/2,0]*d[1/2,0]"
+        )
+
     def test_nonconstant_inverse_rejected(self):
         with pytest.raises(UnknownShapeError):
             UnknownPoly.from_symbol(("a", 2, 0)).inverse()
@@ -100,8 +112,7 @@ class TestLayerExpansion:
         known_a = {m: c for m, c in cand.A.terms.items() if m[0] + m[1] < 2 * k}
         known_d = {m: c for m, c in cand.D.terms.items() if m[0] + m[1] < k}
         symbols = nfsopt._layer_symbols(k)
-        q_order = nfsopt._q_order(k)
-        series, _ = nfsopt._expand_layer(known_a, known_d, symbols, k, q_order)
+        series, _ = nfsopt._expand_layer(known_a, known_d, symbols, k)
 
         rng = random.Random(100 + k)
         values = {sym: LogConstant.from_fraction(F(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -110,7 +121,7 @@ class TestLayerExpansion:
         for sym, value in values.items():
             plain[sym[0]][sym[1:]] = value
         trials = [TruncatedBiSeries(k, plain[kind]) for kind in "abd"]
-        want = build_constraint(*trials, k, q_order=q_order).series
+        want = build_constraint(*trials, k).series
 
         got = {}
         for e, poly in series.terms.items():
@@ -252,9 +263,8 @@ class TestProveExistence:
         A = cand.A.truncate(n + 1).terms
         D = cand.D.truncate(F(n + 1, 2)).terms
         tail = [("a", 2 * (n + 2), 0)]
-        q_order = nfsopt._q_order(n + 2)
-        full, _ = nfsopt._expand_layer(A, D, tail, n + 2, q_order)
-        x_only, _ = nfsopt._expand_layer(A, D, tail, n + 2, q_order, y_max=0)
+        full, _ = nfsopt._expand_layer(A, D, tail, n + 2)
+        x_only, _ = nfsopt._expand_layer(A, D, tail, n + 2, y_max=0)
         dominant = (2 * (n + 2), 0)
         assert x_only.terms[dominant] == full.terms[dominant]
         assert x_only == full.y_bounded(0)
@@ -320,8 +330,7 @@ class TestSolveTarget:
         # equation that pins the B unknown of target X^3 linearly (at
         # X^(3/2) Y) multiplied by `scale` and shifted by `shift`
         state = nfsopt._run_schedule(1)
-        series, _ = nfsopt._expand_layer(state.A, state.D, nfsopt._layer_symbols(3), 3,
-                                         nfsopt._q_order(3))
+        series, _ = nfsopt._expand_layer(state.A, state.D, nfsopt._layer_symbols(3), 3)
         terms = dict(series.terms)
         terms[(3, 2)] = terms[(3, 2)] * scale + shift
         return state, TruncatedBiSeries._make(series.order2, terms, series.ymax2)
@@ -380,12 +389,14 @@ class TestComputeProvenExpansion:
     def test_constraint_vanishing_invariant(self, cpe2):
         assert constraint_residual(cpe2.candidate, order=3).is_zero()
 
-    def test_reduced_q_order_is_not_silent(self):
-        # margin negative control: capping the smoothness order must either
-        # break the run or visibly change proven coefficients
+    def test_reduced_q_order_is_not_silent(self, monkeypatch):
+        # negative control for expanding Q to the constraint's own order:
+        # capping the smoothness order must either break the run or visibly
+        # change proven coefficients
+        monkeypatch.setattr(nfsopt, "q_truncation", lambda m: q_truncation(min(m, 1)))
         table = reference_table()
         try:
-            res = compute_proven_expansion(2, q_order_cap=1)
+            res = compute_proven_expansion(2)
         except Exception:
             return
         if res.failure is not None:
