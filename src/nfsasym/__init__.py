@@ -26,7 +26,7 @@ from .asym import (
 from .nfsopt import (
     CandidateExpansion, ExistenceCertificate, ExpansionResult, ProofLog,
     build_constraint, classify_pattern, compute_proven_expansion,
-    constraint_residual, guess_terms, prove_existence, prove_minimality,
+    constraint_residual, guess_terms, prove_existence,
 )
 from .evalkit import (
     complexity_log, figure_data, g_demo, xi_eval, xi_eval_loglog, xi_gap_loglog,

@@ -36,8 +36,8 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "nfsasym"
 
 
-def cache_path(degree: int, directory: Optional[Path] = None) -> Path:
-    return (directory or cache_dir()) / f"expansion_deg{degree}.json"
+def cache_path(degree: int) -> Path:
+    return cache_dir() / f"expansion_deg{degree}.json"
 
 
 def _series_to_json(series: TruncatedBiSeries) -> dict:
@@ -69,11 +69,9 @@ def _proof_summary(log: ProofLog) -> list[dict]:
     ]
 
 
-def save_expansion(result: ExpansionResult, path: Optional[Path] = None) -> Path:
+def save_expansion(result: ExpansionResult) -> Path:
     cand = result.candidate
-    if path is None:
-        path = cache_path(cand.degA)
-    path = Path(path)
+    path = cache_path(cand.degA)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "engine": ENGINE_VERSION,

@@ -175,6 +175,8 @@ def cep_series() -> TruncatedBiSeries:
 
 def xy_of(eta: float) -> tuple[float, float]:
     """(X(eta), Y(eta)) = (loglog eta / log eta, 1/log eta)."""
+    if not 1.0 < eta < math.inf:
+        raise DomainError(f"X and Y need finite eta > 1, got {eta}")
     l = math.log(eta)
     return math.log(l) / l, 1.0 / l
 

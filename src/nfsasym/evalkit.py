@@ -46,8 +46,8 @@ class DegreeUnavailableError(EvalError):
 
 def xy_from_loglognu(t: float) -> tuple[float, float]:
     """(X(nu), Y(nu)) for loglog(nu) = t; usable far beyond float range of nu."""
-    if not t > 0.0:
-        raise EvalError(f"loglog nu must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise EvalError(f"loglog nu must be finite and positive, got {t}")
     return t * math.exp(-t), math.exp(-t)
 
 
@@ -201,8 +201,9 @@ def rows_to_csv(series: FigureSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_svg(series: FigureSeries, width: int = 800, height: int = 500) -> str:
+def rows_to_svg(series: FigureSeries) -> str:
     """Minimal self-contained polyline plot, one colored path per curve."""
+    width, height = 800, 500
     curves: dict[str, list[tuple[float, float]]] = {}
     for a, c, v in series.rows:
         curves.setdefault(c, []).append((a, v))

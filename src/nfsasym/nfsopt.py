@@ -68,8 +68,6 @@ X^(n+2), which an expansion modulo Y (every Y-carrying term dropped, a ring
 homomorphism) gives exactly at a fraction of the cost.  So a proof makes
 n+1 layer expansions and one expansion in X alone, none above order n+1 in
 both variables.  Every step of a layer shares the layer's absorption audit.
-prove_minimality derives the log afresh to check a candidate that came from
-elsewhere.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ class MinimalityFailure(ProofFailure):
 
 
 class ContradictionError(ProofFailure):
-    """A proven limit disagrees with the guessed coefficient."""
+    """A linearly pinned B coefficient disagrees with A's a = b fill."""
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +412,8 @@ def build_constraint(
     D: TruncatedBiSeries,
     order,
     audit: Optional[list] = None,
-) -> ScaledAsymptotic:
-    """p(u0) + p(u1) + 2a - b, normalized by the scale of a.
+) -> TruncatedBiSeries:
+    """The series F with p(u0) + p(u1) + 2a - b = scale(a) nu^(1/3) (log nu)^(2/3) F.
 
     u0 = (a + nu/d)/b and u1 = (d*a + nu/d)/b; the smoothness series Q is
     expanded to `order` itself.  That is exact: X(u) and Y(u) have no
@@ -446,8 +444,7 @@ def build_constraint(
     ratio = scale_ratio_as_rational(total.scale, scale_a())
     if ratio is None:
         raise NfsoptError("constraint scale is not a rational multiple of scale(a)")
-    series = total.series.scale(ratio).truncate(order)
-    return ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), series)
+    return total.series.scale(ratio).truncate(order)
 
 
 def constraint_residual(cand: CandidateExpansion, order=None) -> TruncatedBiSeries:
@@ -458,7 +455,7 @@ def constraint_residual(cand: CandidateExpansion, order=None) -> TruncatedBiSeri
     if order is None:
         order = cand.degA
     A, B, D = (s.truncate(min(order, s.order)).with_order(order) for s in (cand.A, cand.B, cand.D))
-    return build_constraint(A, B, D, order).series
+    return build_constraint(A, B, D, order)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +573,7 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
     if y_max is not None:
         trials = [t.y_bounded(y_max) for t in trials]
     audit: list = []
-    series = build_constraint(*trials, order, audit=audit).series
+    series = build_constraint(*trials, order, audit=audit)
     # coefficients no unknown reached come out as plain LogConstant values
     polys = {e: c if isinstance(c, UnknownPoly) else UnknownPoly.from_logconst(c)
              for e, c in series.terms.items()}
@@ -598,11 +595,11 @@ def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
     # value as solved or pinned so far
     solved = _known_values(k, state.A, state.D, (a_sym, b_sym, d_sym))
 
-    def fail(message, mono=None, detail=""):
+    def fail(message, mono=None, detail="", error=GuessFailure):
         record = FailureRecord(
             "guess", k, _frac_pair(mono) if mono else _frac_pair(target), message, detail
         )
-        raise GuessFailure(record, partial=state.candidate(k - 1, "guessed"))
+        raise error(record, partial=state.candidate(k - 1, "guessed"))
 
     deferred: list[tuple[tuple, UnknownPoly]] = []
     pendings: list[tuple] = []
@@ -624,11 +621,8 @@ def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
         value = -(poly.constant() / coeff)
         want = state.a_value_at(sym[1:])
         if sym[0] == "b" and value != want:
-            raise ContradictionError(FailureRecord(
-                "guess", k, _frac_pair(mono),
-                f"pinned {_symbol_name(sym)} = {value} but the a=b fill expects {want}",
-                detail=str(poly),
-            ))
+            fail(f"pinned {_symbol_name(sym)} = {value} but the a=b fill expects {want}",
+                 mono, detail=str(poly), error=ContradictionError)
         solved[sym] = value
         pinned_by[sym[0]] = pinned_by[sym[0]] or "linear"
         pendings.append((_frac_pair(mono), f"pinned {_symbol_name(sym)} = {value}"))
@@ -915,39 +909,6 @@ def prove_existence(n: int, cand: CandidateExpansion,
     return _certify_existence(n, series, cand)
 
 
-def prove_minimality(n: int, cand: CandidateExpansion,
-                     cert: ExistenceCertificate) -> ProofLog:
-    """Check a supplied candidate against a freshly derived proof log.
-
-    The schedule is walked once through degree n+1, independently of cand;
-    then, step by step, the solved A coefficient at the target, A at an
-    integer slot (the a = b value of B) and D at the slot must equal cand's.
-    The first mismatch raises ContradictionError; otherwise the derived log
-    is returned.  compute_proven_expansion does not call this: its own
-    schedule pass is the proof.
-    """
-    if cert.degree < n:
-        raise ValueError(f"existence certified only at degree {cert.degree}, need {n}")
-    if cand.degA < n + 1:
-        raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
-    log = _run_schedule(n).log
-    _check_adjacency(log, n)
-    for step in log.steps:
-        checks = [("A", step.target, step.kappa_a, cand.A)]
-        if step.slot_is_integer:
-            checks.append(("B", step.slot, step.b_value, cand.A))
-        checks.append(("D", step.slot, step.d_value, cand.D))
-        for name, (i, j), proven, series in checks:
-            supplied = series.coefficient(i, j)
-            if proven != supplied:
-                raise ContradictionError(FailureRecord(
-                    "minimality", int(sum(step.target)), step.target,
-                    f"proven limit for {name}[{i},{j}] is {proven},"
-                    f" contradicting the supplied {supplied}",
-                ))
-    return log
-
-
 def compute_proven_expansion(n: int) -> ExpansionResult:
     """Prove the degree-n expansion in one schedule pass.
 
@@ -968,17 +929,14 @@ def compute_proven_expansion(n: int) -> ExpansionResult:
         for k in range(1, n):
             certificates.append(_certify_existence(k, state.layers[k + 2], cand))
         certificates.append(prove_existence(n, cand, _layer=state.layers[n + 1]))
-        _check_adjacency(cand.guess_log, n)
+        if not state.log.check_pattern_adjacency():
+            raise MinimalityFailure(FailureRecord(
+                "minimality", n, None,
+                f"pattern sequence violates the P2->P3 adjacency rule: {state.log.pattern_sequence()}",
+            ))
     except ProofFailure as exc:
         partial = exc.partial or cand or _State().candidate(0, "guessed")
         return ExpansionResult(partial, partial.guess_log, certificates, failure=exc.record)
     proven = replace(cand, status="minimality-proven")
     return ExpansionResult(proven, proven.guess_log, certificates)
 
-
-def _check_adjacency(log: ProofLog, n: int) -> None:
-    if not log.check_pattern_adjacency():
-        raise MinimalityFailure(FailureRecord(
-            "minimality", n, None,
-            f"pattern sequence violates the P2->P3 adjacency rule: {log.pattern_sequence()}",
-        ))

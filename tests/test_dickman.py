@@ -262,5 +262,12 @@ class TestRadius:
         x150, _ = xy_of(150.0)
         assert x150 == pytest.approx(0.3216, abs=2e-4)
 
+    @pytest.mark.parametrize("evaluate, eta", [
+        (xy_of, math.inf), (xy_of, math.nan), (radius_threshold_check, math.inf),
+    ])
+    def test_non_finite_rejected(self, evaluate, eta):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate(eta)
+
     def test_leading_digits(self):
         assert f"{radius_constant():.4f}" == "0.3178"

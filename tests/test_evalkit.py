@@ -42,6 +42,14 @@ class TestXi:
         for t, dev in zip(ts, deviations):
             assert dev * t == pytest.approx(a01 / (4.0 / 3.0), rel=1e-9)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda cand: xy_from_loglognu(math.inf),
+        lambda cand: xi_gap_loglog(cand, 1, math.inf),
+    ], ids=["xy_from_loglognu", "xi_gap_loglog"])
+    def test_infinite_loglog_rejected(self, cpe4, evaluate):
+        with pytest.raises(EvalError, match="finite"):
+            evaluate(cpe4.candidate)
+
     def test_degree_unavailable(self, cpe4):
         with pytest.raises(DegreeUnavailableError):
             xi_eval(cpe4.candidate, cpe4.candidate.degA + 1, 1e4)

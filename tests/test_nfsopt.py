@@ -9,10 +9,10 @@ from nfsasym.asym import FoldEvent
 from nfsasym.dickman import q_truncation
 from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import (
-    CandidateExpansion, ContradictionError, ExistenceFailure,
+    CandidateExpansion, ExistenceFailure,
     UnknownPoly, UnknownShapeError,
     build_constraint, classify_pattern, compute_proven_expansion,
-    constraint_residual, guess_terms, prove_existence, prove_minimality,
+    constraint_residual, guess_terms, prove_existence,
 )
 from nfsasym.pseries import TruncatedBiSeries
 
@@ -86,7 +86,7 @@ class TestClassifyPattern:
 class TestBuildConstraint:
     def test_all_ones_constant_vanishes(self):
         one = TruncatedBiSeries.one(0)
-        series = build_constraint(one, one, one, 0).series
+        series = build_constraint(one, one, one, 0)
         assert series.constant_term().is_zero()
 
     def test_degree_one_candidate_vanishes_through_degree_one(self):
@@ -99,7 +99,7 @@ class TestBuildConstraint:
         terms = dict(cand.A.truncate(1).terms)
         terms[(2, 0)] = terms[(2, 0)] + LogConstant.one()  # 4/3 -> 4/3 + 1
         bad = TruncatedBiSeries(1, terms)
-        residual = build_constraint(bad, bad, cand.D.truncate(1), 1).series
+        residual = build_constraint(bad, bad, cand.D.truncate(1), 1)
         assert residual.coefficient(1, 0)
 
 
@@ -121,7 +121,7 @@ class TestLayerExpansion:
         for sym, value in values.items():
             plain[sym[0]][sym[1:]] = value
         trials = [TruncatedBiSeries(k, plain[kind]) for kind in "abd"]
-        want = build_constraint(*trials, k).series
+        want = build_constraint(*trials, k)
 
         got = {}
         for e, poly in series.terms.items():
@@ -271,10 +271,9 @@ class TestProveExistence:
 
 
 class TestProveMinimality:
+    # the minimality proof is the schedule's own log, guess_terms(n).guess_log
     def test_five_step_prefix(self):
-        cand = guess_terms(2)
-        cert = prove_existence(1, cand)
-        log = prove_minimality(1, cand, cert)
+        log = guess_terms(1).guess_log
         assert log.pattern_sequence()[:5] == ["P3", "P2", "P3", "P1", "P2"]
         final = {tuple(s.target): s for s in log.steps}
         assert final[(1, 0)].kappa_a == LogConstant.from_fraction(F(4, 3))
@@ -282,44 +281,15 @@ class TestProveMinimality:
         assert final[(2, 0)].d_value == LogConstant.from_fraction(F(-2, 3))
         assert final[(0, 2)].d_value == L2 - L3 * F(5, 6) + 1
 
-    def test_limit_mismatch_contradicts(self):
-        cand = guess_terms(2)
-        cert = prove_existence(1, cand)
-        terms = dict(cand.A.terms)
-        terms[(2, 0)] = terms[(2, 0)] + 1  # tamper with a10
-        bad = CandidateExpansion(
-            A=TruncatedBiSeries(cand.A.order, terms), B=cand.B, D=cand.D,
-            degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
-        )
-        with pytest.raises(ContradictionError):
-            prove_minimality(1, bad, cert)
-
-    def test_d_mismatch_contradicts(self):
-        cand = guess_terms(2)
-        cert = prove_existence(1, cand)
-        terms = dict(cand.D.terms)
-        terms[(0, 2)] = terms[(0, 2)] + 1  # tamper with d01
-        bad = CandidateExpansion(
-            A=cand.A, B=cand.B, D=TruncatedBiSeries(cand.D.order, terms),
-            degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
-        )
-        with pytest.raises(ContradictionError):
-            prove_minimality(1, bad, cert)
-
     def test_a_equals_b_streams(self):
         cand = guess_terms(3)
-        cert = prove_existence(3, cand)
-        log = prove_minimality(3, cand, cert)
-        for step in log.steps:
+        for step in cand.guess_log.steps:
             if step.slot_is_integer:
                 i, j = step.slot
                 assert step.b_value == cand.A.coefficient(i, j), step.slot
 
     def test_half_integer_slots_zero(self):
-        cand = guess_terms(2)
-        cert = prove_existence(1, cand)
-        log = prove_minimality(1, cand, cert)
-        halves = log.half_integer_values()
+        halves = guess_terms(1).guess_log.half_integer_values()
         assert halves and all(not b and not d for _, b, d in halves)
 
 
@@ -449,11 +419,34 @@ class TestComputeProvenExpansion:
             "2f9573164c2c551bfe9114ee1093c205ac4d9a06b755aeb7c6b4f39640c0e4d0")
 
     def test_proof_log_matches_minimality_replay(self, cpe2):
+        # a second schedule walk gives the same log, and the certificates
+        # read off the schedule's layers equal the standalone ones
         cand = guess_terms(2)
-        certs = [prove_existence(k, cand) for k in (1, 2)]
-        log = prove_minimality(2, cand, certs[-1])
-        assert cpe2.proof_log.steps == log.steps  # every ProofStep field
-        assert cpe2.certificates == certs
+        assert cpe2.proof_log.steps == cand.guess_log.steps  # every ProofStep field
+        assert cpe2.certificates == [prove_existence(k, cand) for k in (1, 2)]
+
+    def test_contradiction_keeps_proven_prefix(self, monkeypatch):
+        # shifting layer 3's coefficient at X^(3/2) Y by 1 makes the linear
+        # equation there pin B at X^(3/2) to -1/3, against the a = b fill 0;
+        # the failure carries the proven prefix through degree 2, as a
+        # GuessFailure at that step would
+        expand = nfsopt._expand_layer
+
+        def shifted(A, D, symbols, order, y_max=None):
+            series, audit = expand(A, D, symbols, order, y_max)
+            if (order, y_max) == (3, None):
+                terms = dict(series.terms)
+                terms[(3, 2)] = terms[(3, 2)] + 1
+                series = TruncatedBiSeries._make(series.order2, terms, series.ymax2)
+            return series, audit
+
+        monkeypatch.setattr(nfsopt, "_expand_layer", shifted)
+        result = compute_proven_expansion(3)
+        record = result.failure
+        assert (record.stage, record.degree, record.monomial) == ("guess", 3, (F(3, 2), F(1)))
+        assert record.message == "pinned b[3/2,0] = (-1/3) but the a=b fill expects 0"
+        assert result.candidate.degA == 2
+        assert len(result.proof_log.steps) == 5
 
     def test_absorption_events_recorded(self, cpe2):
         assert all(step.absorptions for step in cpe2.proof_log.steps)
