@@ -11,6 +11,8 @@ as Q(X, Y) with
 rho is evaluated two ways: a per-unit-interval spectral collocation of the
 delay equation u*rho'(u) = -rho(u-1) carrying log(rho), and the asymptotic
 form log(rho(u)) ~ -u*log(u)*Q(X(u), Y(u)) which only converges for large u.
+numpy and scipy load on the first rho or de Bruijn call, so the exact engine
+and the read path never load them.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from scipy import integrate as _sc_integrate
-
 from .exact import LogConstant
 from .pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
 
-EULER_GAMMA = float(np.euler_gamma)
+EULER_GAMMA = 0.5772156649015329
 
 
 class DomainError(ValueError):
@@ -228,18 +226,22 @@ def integral_s_numeric(u: float) -> float:
     """integral_e^u s(eta) d(eta) by adaptive quadrature after eta = e^t."""
     if not math.e < u < math.inf:
         raise DomainError(f"integral needs finite u > e, got {u}")
-    value, _err = _sc_integrate.quad(
+    from scipy import integrate
+
+    value, _err = integrate.quad(
         lambda t: s_numeric(math.exp(t)) * math.exp(t),
         1.0, math.log(u), epsrel=1e-10, epsabs=0.0, limit=400,
     )
     return value
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _integral_s_one_to_e() -> float:
     # offset used by the de Bruijn form; s -> 0 as eta -> 1+ so the
     # integrand is bounded
-    value, _err = _sc_integrate.quad(
+    from scipy import integrate
+
+    value, _err = integrate.quad(
         lambda t: (s_numeric(math.exp(t)) if t > 1e-14 else 0.0) * math.exp(t),
         0.0, 1.0, epsrel=1e-12, epsabs=1e-14, limit=400,
     )
@@ -269,10 +271,13 @@ class _RhoTable:
     def __init__(self, degree: int):
         self.degree = degree
         self.offsets = [0.0]  # log rho(k) for k = 1, 2, ...
-        self.ratios: list[_cheb.Chebyshev] = []
+        self.ratios: list = []  # numpy Chebyshev interpolants of rho(u)/rho(k)
         self.lock = threading.Lock()
 
     def _build_interval(self, k: int) -> None:
+        import numpy as np
+        from numpy.polynomial.chebyshev import Chebyshev
+
         if k == 1:
             # rho = 1 on [0, 1]: known part of the integral is 2 - u
             def known(u):
@@ -287,7 +292,7 @@ class _RhoTable:
                 u = np.asarray(u, dtype=float)
                 return r_scale * (prim_at_k - prim(u - 1.0))
 
-        q = _cheb.Chebyshev.interpolate(
+        q = Chebyshev.interpolate(
             lambda u: known(u) / np.asarray(u, dtype=float),
             self.degree, domain=[k, k + 1],
         )
@@ -296,7 +301,7 @@ class _RhoTable:
                 u = np.asarray(u, dtype=float)
                 return (known(u) + q.integ(lbnd=k)(u)) / u
 
-            q_next = _cheb.Chebyshev.interpolate(step, self.degree, domain=[k, k + 1])
+            q_next = Chebyshev.interpolate(step, self.degree, domain=[k, k + 1])
             delta_coef = np.max(np.abs(q_next.coef - q.coef))
             q = q_next
             if delta_coef <= 1e-16 * max(1.0, np.max(np.abs(q.coef))):
@@ -318,22 +323,12 @@ class _RhoTable:
         return self.offsets[k - 1] + math.log(r)
 
 
-_rho_tables: dict[int, _RhoTable] = {}
-_rho_tables_lock = threading.Lock()
-
-
-def _rho_table(degree: int) -> _RhoTable:
-    with _rho_tables_lock:
-        table = _rho_tables.get(degree)
-        if table is None:
-            table = _rho_tables[degree] = _RhoTable(degree)
-        return table
-
-
+RHO_DEGREE = 30
 RHO_U_MAX = 500.0
+_rho_table = _RhoTable(RHO_DEGREE)
 
 
-def rho_numeric(u: float, degree: int = 30) -> RhoValue:
+def rho_numeric(u: float) -> RhoValue:
     """Dickman rho from the delay equation u*rho' = -rho(u-1), rho = 1 on [0,1]."""
     if not u >= 0:  # also rejects nan
         raise DomainError(f"rho needs u >= 0, got {u}")
@@ -341,7 +336,7 @@ def rho_numeric(u: float, degree: int = 30) -> RhoValue:
         raise RangeError(
             f"rho_numeric is limited to u <= {RHO_U_MAX}; use log_rho_debruijn for the tail"
         )
-    return RhoValue(u, _rho_table(degree).log_rho(u), "dde")
+    return RhoValue(u, _rho_table.log_rho(u), "dde")
 
 
 @dataclass(frozen=True)
@@ -376,7 +371,10 @@ def log_rho_debruijn(u: float, order: int) -> DeBruijnRho:
 # Radius of convergence
 # ---------------------------------------------------------------------------
 
-def lambert_w_minus1_at_minus_exp_minus2(tol: float = 1e-15) -> float:
+_LAMBERT_TOL = 1e-15
+
+
+def lambert_w_minus1_at_minus_exp_minus2() -> float:
     """W(-1, -e^-2) by Halley iteration from w0 = -3."""
     z = -math.exp(-2.0)
     w = -3.0
@@ -387,7 +385,7 @@ def lambert_w_minus1_at_minus_exp_minus2(tol: float = 1e-15) -> float:
             break
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
         w_new = w - f / denom
-        if abs(w_new - w) <= tol * abs(w_new):
+        if abs(w_new - w) <= _LAMBERT_TOL * abs(w_new):
             w = w_new
             break
         w = w_new

@@ -1,7 +1,12 @@
 import json
+import math
 import os
 import re
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +280,50 @@ class TestNumericCommands:
     def test_unknown_command_usage(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+
+# run in a fresh interpreter: this process has numpy loaded already
+FLOAT_STACK_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import nfsasym.cli as cli
+
+    out = sys.argv[1]
+    for argv in (
+        ["expand", "--degree", "2", "--prove"],
+        ["xi", "--degree", "1", "--bits", "2048"],
+        ["keysize", "--from-bits", "512", "--to-bits", "1024", "--degree", "1"],
+        ["figure", "--id", "zonecrypto", "--i-max", "2", "--out", out + "/zone.csv"],
+        ["figure", "--id", "logrho", "--i-max", "2", "--out", out + "/logrho.csv"],
+        ["radius"],
+    ):
+        assert cli.main(argv) == 0, argv
+    exact_only = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+    from nfsasym.dickman import log_rho_debruijn, rho_numeric
+    rho2 = rho_numeric(2.0).rho
+    db = log_rho_debruijn(5.0, 3)
+    print(json.dumps({
+        "exact_only": exact_only,
+        "after_float": sorted(m for m in ("numpy", "scipy") if m in sys.modules),
+        "rho2": rho2,
+        "rho5": rho_numeric(5.0).log_rho,
+        "db_series": db.log_rho_series,
+        "db_integral": db.log_rho_integral,
+    }))
+""")
+
+
+def test_float_stack_loads_only_for_float_evaluators(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env[cachemod.CACHE_DIR_ENV] = str(tmp_path / "cache")
+    proc = subprocess.run(
+        [sys.executable, "-c", FLOAT_STACK_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["exact_only"] == []
+    assert got["after_float"] == ["numpy", "scipy"]
+    assert got["rho2"] == pytest.approx(1.0 - math.log(2.0), abs=1e-9)
+    assert math.isfinite(got["db_series"])
+    assert abs(got["db_integral"] - got["rho5"]) < 0.5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
+from nfsasym import dickman
 from nfsasym.dickman import (
     DomainError, RangeError,
     cep_series, integral_s_numeric, lambert_w_minus1_at_minus_exp_minus2,
@@ -197,10 +198,10 @@ class TestRho:
         assert all(vals[k + 1] <= vals[k] for k in range(len(vals) - 1))
 
     def test_collocation_degree_convergence(self):
-        # spectral accuracy: degree 30 against degree 60 within 1e-9 in log
+        # spectral accuracy: the degree-30 table against degree 60 within 1e-9 in log
+        degree_60 = dickman._RhoTable(60)
         for u in (5.0, 12.5, 20.0):
-            assert abs(rho_numeric(u, degree=30).log_rho
-                       - rho_numeric(u, degree=60).log_rho) < 1e-9
+            assert abs(rho_numeric(u).log_rho - degree_60.log_rho(u)) < 1e-9
 
     def test_deep_range_survives(self):
         assert rho_numeric(500.0).log_rho < -3000.0
@@ -216,6 +217,8 @@ class TestDeBruijn:
             db = log_rho_debruijn(u, 6)
             dde = rho_numeric(u).log_rho
             assert abs(db.log_rho_integral - dde) < 0.5
+        # the integral form's constant is a literal; numpy's value is the oracle
+        assert dickman.EULER_GAMMA == float(np.euler_gamma)
 
     def test_series_form_vs_integral_in_q_units(self):
         u = math.exp(8.0)
