@@ -309,16 +309,13 @@ class _RhoTable:
         self.ratios.append(q)
         self.offsets.append(self.offsets[-1] + math.log(float(q(k + 1.0))))
 
-    def extend_to(self, u_max: float) -> None:
-        with self.lock:
-            while len(self.ratios) + 1 < u_max:
-                self._build_interval(len(self.ratios) + 1)
-
     def log_rho(self, u: float) -> float:
         if u <= 1.0:
             return 0.0
-        self.extend_to(u + 1.0)
-        k = min(int(math.floor(u)), len(self.ratios))
+        k = int(math.floor(u))  # u reads the interval [k, k + 1]
+        with self.lock:
+            while len(self.ratios) < k:
+                self._build_interval(len(self.ratios) + 1)
         r = float(self.ratios[k - 1](u))
         return self.offsets[k - 1] + math.log(r)
 

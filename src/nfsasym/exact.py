@@ -264,9 +264,11 @@ class LogConstant:
     # -- evaluation and rendering -------------------------------------------
 
     def eval_f64(self) -> float:
+        # summed in display order, so equal values give equal floats however
+        # their maps were built
         value = 0.0
-        for (i, j), c in self.terms.items():
-            value += float(c) * _LOG2_F64 ** i * _LOG3_F64 ** j
+        for i, j in sorted(self.terms, key=_mono_display_key):
+            value += float(self.terms[i, j]) * _LOG2_F64 ** i * _LOG3_F64 ** j
         if self.terms and abs(value) < NEAR_ZERO_EVAL:
             warnings.warn(
                 f"nonzero exact constant evaluates to {value!r} (< {NEAR_ZERO_EVAL})",

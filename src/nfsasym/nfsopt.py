@@ -165,6 +165,19 @@ class UnknownPoly:
         return out
 
     @staticmethod
+    def mono_mul(m1: UMono, m2: UMono) -> UMono:
+        """The product of two unknown monomials; past degree 2 it raises
+        UnknownShapeError (the series product calls this too)."""
+        if not m1:
+            return m2
+        if not m2:
+            return m1
+        if len(m1) + len(m2) > 2:
+            raise UnknownShapeError(
+                "constraint expansion produced unknown degree > 2: " + _umono_str(m1 + m2, "^1"))
+        return m1 + m2 if m1 <= m2 else m2 + m1
+
+    @staticmethod
     def from_logconst(c: LogConstant) -> "UnknownPoly":
         return UnknownPoly({(): c})
 
@@ -219,7 +232,7 @@ class UnknownPoly:
         out: dict[UMono, LogConstant] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _umono_mul(m1, m2)
+                m = UnknownPoly.mono_mul(m1, m2)
                 c = c1 * c2
                 s = out.get(m)
                 s = c if s is None else s + c
@@ -302,17 +315,6 @@ class UnknownPoly:
             mono = _umono_str(m)
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
-
-
-def _umono_mul(m1: UMono, m2: UMono) -> UMono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) + len(m2) > 2:
-        raise UnknownShapeError(
-            "constraint expansion produced unknown degree > 2: " + _umono_str(m1 + m2, "^1"))
-    return m1 + m2 if m1 <= m2 else m2 + m1
 
 
 def _umono_str(m: UMono, first_power: str = "") -> str:

@@ -19,7 +19,8 @@ Division by Y is the one operation that does not descend (it would bring the
 dropped terms back), so divide_by_y refuses a bounded series.  Without a
 bound no operation pays any per-term check.
 
-Coefficients carry their own arithmetic.  The series needs from them:
+Coefficients carry their own arithmetic, except in the series product.  The
+series needs from them:
 
 * +, -, * (also with int and Fraction operands), == and truth testing;
 * inverse(), for the constant term of inverse and log, which must be a
@@ -35,6 +36,25 @@ unknown-coefficient polynomials of the optimization layer do, which lets
 one series mix them with plain constants; they implement the arithmetic and
 inverse() only, which is all the constraint expansion asks of them.
 
+The series product is a Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009): it packs
+each coefficient into one Python integer, multiplies the integers once per
+pair of terms and unpacks once per product term, so it never calls a
+coefficient's *.  It reads a LogConstant through its map `terms`
+{(i, j): rational with integer numerator and denominator}.  Any other
+coefficient type must be a polynomial over LogConstant in unknown monomials:
+
+* `terms`, its map {unknown monomial: nonzero LogConstant}, with () the
+  monomial 1;
+* `mono_mul(m1, m2)`, callable on the type, the product of two monomials
+  other than (); it may raise to refuse a shape, and is called for every
+  such pair of monomials of every pair of terms within the order;
+* `_make(terms)`, callable on the type, the value with a given map of
+  nonzero LogConstant.
+
+A product term has that type when one of the operand terms behind it had it,
+and is a LogConstant otherwise.
+
 The Delta operator implemented here is the derivation with
 
     Delta 1 = 0,   Delta X = Y*(Y - X),   Delta Y = -Y**2,
@@ -46,9 +66,10 @@ truncation because Delta strictly raises total degree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exact import LogConstant, log_of_rational
+from .exact import LogConstant, _Q, log_of_rational
 
 ExpPair = tuple[int, int]  # doubled exponents
 
@@ -83,7 +104,7 @@ def _grlex_key(e: ExpPair) -> tuple[int, int]:
 
 
 class TruncatedBiSeries:
-    __slots__ = ("order2", "terms", "ymax2")
+    __slots__ = ("order2", "terms", "ymax2", "_f64")
 
     def __init__(self, order, terms: dict[ExpPair, object] | None = None, *,
                  _doubled_order=None, _ymax2=None):
@@ -98,6 +119,7 @@ class TruncatedBiSeries:
             clean = {e: c for e, c in clean.items() if e[1] <= _ymax2}
         self.terms = clean
         self.ymax2 = _ymax2  # doubled Y-exponent bound, None when unbounded
+        self._f64 = None  # [(float coefficient, x exponent, y exponent)], built by eval_f64
 
     # -- constructors --------------------------------------------------------
 
@@ -223,6 +245,9 @@ class TruncatedBiSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product by Kronecker substitution: each (term, unknown monomial)
+        coefficient is packed into one integer (see _pack), so a pair of terms
+        costs one integer product per pair of unknown monomials."""
         other = self._coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
@@ -233,22 +258,46 @@ class TruncatedBiSeries:
             # a term beyond the bound only reaches terms beyond it
             a = {e: c for e, c in a.items() if e[1] <= ymax2}
             b = {e: c for e, c in b.items() if e[1] <= ymax2}
-        if len(a) > len(b):
-            a, b = b, a
-        terms: dict[ExpPair, object] = {}
-        for (ax, ay), ac in a.items():
-            rem = order2 - ax - ay
-            for (bx, by), bc in b.items():
-                if bx + by > rem:
-                    continue
+        if not a or not b:
+            return TruncatedBiSeries._make(order2, {}, ymax2)
+        den_a, top_a, jmax_a, count_a = _scan(a)
+        den_b, top_b, jmax_b, count_b = _scan(b)
+        # l2^i l3^j sits in slot i*r + j.  A slot of the product sums at most
+        # min(count_a, count_b) products of a numerator of a and one of b (an
+        # entry of one operand meets at most one of the other in it), and one
+        # more bit holds the sign, so no slot overflows into the next
+        r = jmax_a + jmax_b + 1
+        width = top_a.bit_length() + top_b.bit_length() + min(count_a, count_b).bit_length() + 1
+        rows_a = _pack(a, den_a, r, width)
+        rows_b = _pack(b, den_b, r, width)
+        acc: dict[ExpPair, dict] = {}   # exponent -> {unknown monomial: packed sum}
+        kinds: dict[ExpPair, type] = {}  # exponent -> coefficient type, where not LogConstant
+        for deg_a, (ax, ay), kind_a, packed_a in rows_a:
+            rem = order2 - deg_a
+            for deg_b, (bx, by), kind_b, packed_b in rows_b:
+                if deg_b > rem:
+                    break
                 e = (ax + bx, ay + by)
-                p = ac * bc
-                s = terms.get(e)
-                s = p if s is None else s + p
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                kind = kind_a or kind_b
+                if kind:
+                    kinds[e] = kind
+                out = acc.get(e)
+                if out is None:
+                    out = acc[e] = {}
+                for ma, va in packed_a.items():
+                    for mb, vb in packed_b.items():
+                        m = kind.mono_mul(ma, mb) if ma and mb else ma or mb
+                        out[m] = out.get(m, 0) + va * vb
+        den = den_a * den_b
+        terms: dict[ExpPair, object] = {}
+        for e, out in acc.items():
+            coeffs = {}
+            for m, v in out.items():
+                if v:
+                    coeffs[m] = LogConstant(_unpack(v, den, r, width))
+            if coeffs:
+                kind = kinds.get(e)
+                terms[e] = coeffs[()] if kind is None else kind._make(coeffs)
         return TruncatedBiSeries._make(order2, terms, ymax2)
 
     __rmul__ = __mul__
@@ -383,9 +432,13 @@ class TruncatedBiSeries:
     # -- evaluation and rendering ------------------------------------------------
 
     def eval_f64(self, x: float, y: float) -> float:
+        # the float coefficients are computed once per series, highest degree first
+        if self._f64 is None:
+            self._f64 = [(c.eval_f64(), dx / 2.0, dy / 2.0) for (dx, dy), c in
+                         sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)]
         total = 0.0
-        for (dx, dy), c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
-            total += c.eval_f64() * (x ** (dx / 2.0)) * (y ** (dy / 2.0))
+        for c, ex, ey in self._f64:
+            total += c * (x ** ex) * (y ** ey)
         return total
 
     def __repr__(self):
@@ -419,6 +472,68 @@ def _tighter(a, b):
     if a is None:
         return b
     return a if b is None else min(a, b)
+
+
+def _unknown_terms(c):
+    # a coefficient as {unknown monomial: LogConstant}
+    return {(): c} if isinstance(c, LogConstant) else c.terms
+
+
+def _scan(terms: dict) -> tuple[int, int, int, int]:
+    """One pass over a product operand: the lcm of its denominators, its
+    largest |numerator| over that lcm, its largest l3 power and its number
+    of (term, unknown monomial, l-monomial) entries."""
+    den = 1
+    top_n, top_d = 0, 1  # the largest |q| as top_n / top_d
+    jmax = 0
+    count = 0
+    for c in terms.values():
+        for lc in _unknown_terms(c).values():
+            count += len(lc.terms)
+            for (_, j), q in lc.terms.items():
+                n, d = abs(q.numerator), q.denominator
+                if den % d:
+                    den = math.lcm(den, d)
+                if n * top_d > top_n * d:
+                    top_n, top_d = n, d
+                if j > jmax:
+                    jmax = j
+    return den, top_n * (den // top_d), jmax, count
+
+
+def _pack(terms: dict, den: int, r: int, width: int) -> list:
+    """(degree, exponent, coefficient type or None, {unknown monomial: packed
+    integer}) per term, by ascending degree.  The packed integer of
+    sum q_ij l2^i l3^j is sum (q_ij * den) 2^(width * (i*r + j)), each slot
+    a signed integer, so one integer product multiplies two coefficients."""
+    rows = []
+    for e, c in terms.items():
+        packed = {}
+        for m, lc in _unknown_terms(c).items():
+            v = 0
+            for (i, j), q in lc.terms.items():
+                v += q.numerator * (den // q.denominator) << (width * (i * r + j))
+            packed[m] = v
+        rows.append((e[0] + e[1], e, None if isinstance(c, LogConstant) else type(c), packed))
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+def _unpack(v: int, den: int, r: int, width: int) -> dict:
+    """The l-monomial map {(i, j): rational} of a nonzero packed integer."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    poly = {}
+    k = 0
+    while v:
+        s = v & mask
+        if s >= half:
+            s -= mask + 1
+        if s:
+            poly[divmod(k, r)] = _Q(s, den)
+        v = (v - s) >> width
+        k += 1
+    return poly
 
 
 def _coerce_coeff(value):

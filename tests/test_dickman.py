@@ -203,6 +203,15 @@ class TestRho:
         for u in (5.0, 12.5, 20.0):
             assert abs(rho_numeric(u).log_rho - degree_60.log_rho(u)) < 1e-9
 
+    def test_builds_only_the_interval_it_reads(self):
+        table = dickman._RhoTable(dickman.RHO_DEGREE)
+        value = table.log_rho(2.5)
+        assert len(table.ratios) == 2
+        deep = dickman._RhoTable(dickman.RHO_DEGREE)
+        deep.log_rho(6.0)
+        assert len(deep.ratios) == 6
+        assert deep.log_rho(2.5) == value
+
     def test_deep_range_survives(self):
         assert rho_numeric(500.0).log_rho < -3000.0
 

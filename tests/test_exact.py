@@ -117,6 +117,15 @@ class TestEvalF64:
             with pytest.raises(ExactError):
                 log_of_rational(q * 5)
 
+    def test_equal_values_give_equal_floats(self):
+        # the float does not depend on the order the monomial map was built in
+        rng = random.Random(17)
+        for _ in range(50):
+            c = random_logconstant(rng) * random_logconstant(rng) * random_logconstant(rng)
+            items = list(c.terms.items())
+            rng.shuffle(items)
+            assert LogConstant(dict(items)).eval_f64() == c.eval_f64()
+
     def test_near_zero_warning(self):
         tiny = LogConstant.from_fraction(Fraction(1, 10 ** 13))
         with pytest.warns(NearZeroWarning):

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from nfsasym.exact import LogConstant
+from nfsasym.nfsopt import UnknownPoly, UnknownShapeError
 from nfsasym.pseries import (
     SeriesError, SingularSeriesError, TruncatedBiSeries,
     delta, neumann_inverse_one_plus_delta,
 )
 
-from conftest import random_logconstant, random_series
+from conftest import L2, L3, random_logconstant, random_series
 
 
 def S(order, terms):
@@ -63,6 +64,137 @@ class TestRingOps:
         assert f == g
         assert hash(f) == hash(g)
         assert len({f, g}) == 1
+
+
+def reference_product(p, q):
+    """The series product as a double loop over term pairs in the
+    coefficients' own arithmetic: the oracle for the packed product."""
+    order2 = min(p.order2, q.order2)
+    bounds = [y for y in (p.ymax2, q.ymax2) if y is not None]
+    ymax2 = min(bounds) if bounds else None
+    a, b = p.terms, q.terms
+    if ymax2 is not None:
+        a = {e: c for e, c in a.items() if e[1] <= ymax2}
+        b = {e: c for e, c in b.items() if e[1] <= ymax2}
+    terms = {}
+    for (ax, ay), ac in a.items():
+        for (bx, by), bc in b.items():
+            if ax + ay + bx + by > order2:
+                continue
+            e = (ax + bx, ay + by)
+            s = terms.get(e)
+            s = ac * bc if s is None else s + ac * bc
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return TruncatedBiSeries._make(order2, terms, ymax2)
+
+
+SYMBOLS = [("a", 2, 0), ("b", 1, 0), ("d", 1, 1)]
+
+
+def random_coefficient(rng, unknown_degree, big=False):
+    """A LogConstant, or an UnknownPoly of unknown degree <= unknown_degree;
+    big numerators (of both signs) and denominators when `big`."""
+    def constant():
+        c = random_logconstant(rng)
+        if rng.random() < 0.3:
+            c = c + L2 * L3 * L3 * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if big:
+            c = c * Fraction(rng.choice((-1, 1)) * rng.getrandbits(90), rng.getrandbits(70) | 1)
+        return c
+
+    if unknown_degree == 0 or rng.random() < 0.3:
+        return constant()
+    monos = [()] + [(s,) for s in SYMBOLS]
+    if unknown_degree == 2:
+        monos += [tuple(sorted((s, t))) for s in SYMBOLS for t in SYMBOLS]
+    return UnknownPoly({m: constant() for m in rng.sample(monos, rng.randint(1, 3))})
+
+
+def random_operand(rng, order2, unknown_degree=0, big=False):
+    terms = {}
+    for dx in range(order2 + 1):
+        for dy in range(order2 + 1 - dx):
+            if rng.random() < 0.35:
+                terms[(dx, dy)] = random_coefficient(rng, unknown_degree, big)
+    series = TruncatedBiSeries._make(order2, terms)
+    if rng.random() < 0.25:
+        series = series.y_bounded(Fraction(rng.randint(0, order2), 2))
+    return series
+
+
+def assert_same_product(p, q):
+    got, want = p * q, reference_product(p, q)
+    assert (got.order2, got.ymax2) == (want.order2, want.ymax2)
+    assert got == want
+    for e, c in want.terms.items():
+        assert type(got.terms[e]) is type(c)
+    assert q * p == want
+
+
+class TestPackedProduct:
+    """The Kronecker-packed product against the double-loop reference."""
+
+    def test_random_mixed_operands(self):
+        # half-integer exponents, Y bounds, LogConstant and UnknownPoly
+        # coefficients; a pair of unknown degree 3 must raise in both
+        rng = random.Random(2009)
+        raised = 0
+        for _ in range(300):
+            p = random_operand(rng, rng.randint(0, 8), rng.choice((0, 1, 2)), big=rng.random() < 0.2)
+            q = random_operand(rng, rng.randint(0, 8), rng.choice((0, 1)), big=rng.random() < 0.2)
+            try:
+                reference_product(p, q)
+            except UnknownShapeError:
+                raised += 1
+                with pytest.raises(UnknownShapeError):
+                    p * q
+                continue
+            assert_same_product(p, q)
+        assert 0 < raised < 150
+
+    def test_empty_operands(self):
+        rng = random.Random(5)
+        p = random_operand(rng, 6, 1)
+        for zero in (TruncatedBiSeries.zero(4), TruncatedBiSeries.zero(Fraction(9, 2)).y_bounded(1)):
+            assert_same_product(p, zero)
+            assert (p * zero).is_zero()
+        assert_same_product(TruncatedBiSeries.zero(3), TruncatedBiSeries.zero(2))
+
+    def test_exact_cancellation_drops_the_term(self):
+        x = TruncatedBiSeries.x(3)
+        p = one(3).scale(L2) + x.scale(L2)
+        q = one(3).scale(L3) - x.scale(L3)
+        assert (2, 0) not in (p * q).terms
+        assert_same_product(p, q)
+        s = UnknownPoly.from_symbol(SYMBOLS[0])
+        p = TruncatedBiSeries(3, {(0, 0): s, (2, 0): s})
+        assert (2, 0) not in (p * (one(3) - x)).terms
+        assert_same_product(p, one(3) - x)
+
+    def test_slot_bound_is_reached(self):
+        # sum_k M X^k times -(sum_k M X^k): the X^(n-1) coefficient is -n M^2,
+        # n = min(N_a, N_b) products of the largest numerators in one slot
+        for bits, n in ((1, 1), (61, 7), (200, 15), (64, 16)):
+            m = (1 << bits) - 1
+            for lmono in (LogConstant.one(), L2 * L3 * L3):
+                p = TruncatedBiSeries(n, {(2 * k, 0): lmono * m for k in range(n)})
+                q = TruncatedBiSeries(n, {(2 * k, 0): lmono * (-m) for k in range(n)})
+                prod = p * q
+                assert prod.terms[(2 * n - 2, 0)] == lmono * lmono * (-n * m * m)
+                assert_same_product(p, q)
+                assert_same_product(p, p)
+
+    def test_cubic_unknown_product_raises(self):
+        s, t = (UnknownPoly.from_symbol(sym) for sym in SYMBOLS[:2])
+        square = TruncatedBiSeries(2, {(0, 0): LogConstant.one(), (2, 0): s * t})
+        linear = TruncatedBiSeries(2, {(0, 2): s})
+        with pytest.raises(UnknownShapeError):
+            square * linear
+        # a cubic pair beyond the order is never formed
+        assert_same_product(square, TruncatedBiSeries(1, {(0, 0): LogConstant.one(), (0, 2): s}))
 
 
 class TestInverse:
@@ -267,6 +399,19 @@ class TestEvalAndRendering:
     def test_eval_example(self):
         s = one(1) + X(1) - Y(1)
         assert s.eval_f64(0.1, 0.05) == pytest.approx(1.05, abs=1e-15)
+
+    def test_eval_repeats_the_direct_sum(self):
+        # the cached float coefficients give the same float, bit for bit
+        rng = random.Random(31)
+        for _ in range(20):
+            s = random_series(rng, rng.randint(0, 5))
+            for x, y in ((0.1, 0.05), (0.31, 0.2), (0.0, 0.7)):
+                direct = 0.0
+                for (dx, dy), c in sorted(s.terms.items(), key=lambda kv: (sum(kv[0]), -kv[0][0]),
+                                          reverse=True):
+                    direct += c.eval_f64() * (x ** (dx / 2.0)) * (y ** (dy / 2.0))
+                assert s.eval_f64(x, y) == direct
+                assert s.eval_f64(x, y) == direct
 
     def test_eval_zero(self):
         assert TruncatedBiSeries.zero(3).eval_f64(0.3, 0.9) == 0.0
