@@ -6,11 +6,15 @@ Conventions
 * Rationals are ``fractions.Fraction`` (arbitrary precision, canonical
   gcd-reduced form with positive denominator).
 * ``LogConstant`` is a polynomial over Q in the generators l2 = log 2 and
-  l3 = log 3, stored as one map {(i, j): c} for c * l2^i * l3^j with every
-  stored c nonzero, so equal values have equal maps and equal renderings.
-  Its units are the nonzero rationals: dividing by any other value, or
-  taking the log of a rational with a prime factor other than 2 and 3,
-  raises ``ExactError``.
+  l3 = log 3, stored as integer numerators ``num`` {(i, j): n} over one
+  positive denominator ``den``, for the sum of (n / den) * l2^i * l3^j.  No
+  stored numerator is zero and gcd(den, *numerators) == 1, so equal values
+  have equal (den, num) and equal renderings.  Arithmetic runs on Python
+  integers with one gcd per result; ``terms``, the map {(i, j): Fraction},
+  is derived on demand for rendering and enclosures.  The series product
+  reads ``num`` and ``den`` directly.  The units are the nonzero rationals:
+  dividing by any other value, or taking the log of a rational with a prime
+  factor other than 2 and 3, raises ``ExactError``.
 * ``RadicalScale`` is a positive constant of the form q * prod(p**e_p) with
   q a positive rational and rational exponents e_p.  Canonical form keeps
   every stored exponent in (0, 1): integer parts are folded into q.
@@ -29,12 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-try:  # gmpy2's C rationals cut exact-arithmetic time by an order of magnitude
-    from gmpy2 import mpq as _Q
-except ImportError:  # optional: without gmpy2, Fraction is the rational backend
-    _Q = Fraction
-
-RATIONAL_TYPES = (int, Fraction, type(_Q(1)))
+RATIONAL_TYPES = (int, Fraction)
 
 NEAR_ZERO_EVAL = 1e-12
 
@@ -73,80 +72,61 @@ def factor_positive_rational(q) -> dict[int, int]:
 # Polynomials over Q in l2, l3.
 #
 # A monomial l2^i * l3^j is the pair (i, j); (0, 0) is the constant monomial.
-# A polynomial is a dict mapping monomials to nonzero rationals (gmpy2.mpq
-# internally).  Polynomial dicts are never mutated after construction, so
-# values may share them.
+# A LogConstant holds a dict mapping monomials to nonzero integer numerators
+# and one positive denominator.  Numerator dicts are never mutated after
+# construction, so values may share them.
 # ---------------------------------------------------------------------------
 
 Monomial = tuple[int, int]
-Poly = dict
 
 _CONST: Monomial = (0, 0)
 _GENERATORS: dict[int, Monomial] = {2: (1, 0), 3: (0, 1)}
 
 
-def _p_add(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+_new = object.__new__
+
+
+def _reduced(num: dict, den: int) -> "LogConstant":
+    """The LogConstant num / den, for numerators with no zero entry and
+    den > 0, with their common content divided out."""
+    out = _new(LogConstant)
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        out.num, out.den = num, den
+    else:
+        out.num, out.den = {m: n // g for m, n in num.items()}, den // g
     return out
-
-
-def _p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
-    if len(a) == 1 and _CONST in a:
-        c = a[_CONST]
-        return {m: c * v for m, v in b.items()}
-    if len(b) == 1 and _CONST in b:
-        c = b[_CONST]
-        return {m: c * v for m, v in a.items()}
-    out: Poly = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            m = (i1 + i2, j1 + j2)
-            s = out.get(m)
-            if s is None:
-                out[m] = c1 * c2
-            else:
-                s = s + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return out
-
-
-def _to_fraction(v) -> Fraction:
-    return Fraction(int(v.numerator), int(v.denominator))
 
 
 class LogConstant:
     """Element of Q[l2, l3] with l2 = log 2 and l3 = log 3."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: Poly):
-        self.terms = terms
+    def __init__(self, terms: dict | None = None):
+        """The value sum(c * l2^i * l3^j) of a map {(i, j): c} of rationals."""
+        qs = [(m, Fraction(c)) for m, c in (terms or {}).items()]
+        den = math.lcm(*(q.denominator for _, q in qs))
+        num = {m: q.numerator * (den // q.denominator) for m, q in qs if q}
+        g = math.gcd(den, *num.values())
+        self.num = {m: n // g for m, n in num.items()}
+        self.den = den // g
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The map {(i, j): coefficient of l2^i * l3^j}, built on each call."""
+        den = self.den
+        return {m: Fraction(n, den) for m, n in self.num.items()}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_fraction(q) -> "LogConstant":
-        q = _Q(q)
-        return LogConstant({_CONST: q} if q else {})
+        if not isinstance(q, int):
+            q = Fraction(q)
+        if not q:
+            return _LC_ZERO
+        return _reduced({_CONST: q.numerator}, q.denominator)
 
     @staticmethod
     def zero() -> "LogConstant":
@@ -162,23 +142,23 @@ class LogConstant:
         mono = _GENERATORS.get(p)
         if mono is None:
             raise ExactError(f"log {p} is outside Q[l2, l3]")
-        return LogConstant({mono: _Q(1)})
+        return _reduced({mono: 1}, 1)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _CONST in self.terms)
+        return not self.num or (len(self.num) == 1 and _CONST in self.num)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ExactError(f"{self} is not rational")
-        return _to_fraction(self.terms.get(_CONST, 0))
+        return Fraction(self.num.get(_CONST, 0), self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -190,15 +170,38 @@ class LogConstant:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LogConstant(_p_add(self.terms, other.terms))
+        if not isinstance(other, LogConstant):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(a)
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            da *= fa
+            out = {m: n * fa for m, n in a.items()}
+            b = {m: n * fb for m, n in b.items()}
+        for m, n in b.items():
+            s = out.get(m, 0) + n
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return _reduced(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LogConstant({m: -c for m, c in self.terms.items()})
+        out = _new(LogConstant)
+        out.num, out.den = {m: -n for m, n in self.num.items()}, self.den
+        return out
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -210,20 +213,37 @@ class LogConstant:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LogConstant(_p_mul(self.terms, other.terms))
+        if not isinstance(other, LogConstant):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not a or not b:
+            return _LC_ZERO
+        if len(a) == 1 and _CONST in a:
+            a, b = b, a
+        if len(b) == 1 and _CONST in b:
+            c = b[_CONST]
+            return _reduced({m: c * n for m, n in a.items()}, self.den * other.den)
+        out: dict = {}
+        for (i1, j1), n1 in a.items():
+            for (i2, j2), n2 in b.items():
+                m = (i1 + i2, j1 + j2)
+                out[m] = out.get(m, 0) + n1 * n2
+        return _reduced({m: n for m, n in out.items() if n}, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LogConstant":
         """The inverse of a unit, i.e. of a nonzero rational value."""
-        if not self.terms:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero LogConstant")
         if not self.is_rational():
             raise ExactError(f"{self} is not a unit of Q[l2, l3]")
-        return LogConstant({_CONST: 1 / self.terms[_CONST]})
+        n = self.num[_CONST]
+        out = _new(LogConstant)
+        out.num, out.den = ({_CONST: self.den}, n) if n > 0 else ({_CONST: -self.den}, -n)
+        return out
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -253,23 +273,25 @@ class LogConstant:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # a rational value hashes as its Fraction, which it compares equal to
         if self.is_rational():
             return hash(self.as_fraction())
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     # -- evaluation and rendering -------------------------------------------
 
     def eval_f64(self) -> float:
         # summed in display order, so equal values give equal floats however
-        # their maps were built
+        # their maps were built; n / den is correctly rounded, as is the
+        # float of the reduced Fraction
         value = 0.0
-        for i, j in sorted(self.terms, key=_mono_display_key):
-            value += float(self.terms[i, j]) * _LOG2_F64 ** i * _LOG3_F64 ** j
-        if self.terms and abs(value) < NEAR_ZERO_EVAL:
+        num, den = self.num, self.den
+        for i, j in sorted(num, key=_mono_display_key):
+            value += num[i, j] / den * _LOG2_F64 ** i * _LOG3_F64 ** j
+        if num and abs(value) < NEAR_ZERO_EVAL:
             warnings.warn(
                 f"nonzero exact constant evaluates to {value!r} (< {NEAR_ZERO_EVAL})",
                 NearZeroWarning,
@@ -284,7 +306,6 @@ class LogConstant:
         (lo2, hi2), (lo3, hi3) = _log_enclosures(bits)
         lo = hi = Fraction(0)
         for (i, j), c in self.terms.items():
-            c = _to_fraction(c)
             low, high = c * lo2 ** i * lo3 ** j, c * hi2 ** i * hi3 ** j
             if c < 0:
                 low, high = high, low
@@ -300,11 +321,12 @@ class LogConstant:
 
     def to_string(self) -> str:
         """Canonical rendering, e.g. ``(-2)*l2 + (1/6)*l3 + (-2)``."""
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         parts = []
-        for m in sorted(self.terms, key=_mono_display_key):
-            cs = f"({self.terms[m]})"
+        for m in sorted(terms, key=_mono_display_key):
+            cs = f"({terms[m]})"
             parts.append(cs if m == _CONST else f"{cs}*{_mono_to_string(m)}")
         return " + ".join(parts)
 
@@ -314,9 +336,10 @@ class LogConstant:
         if self.is_rational():
             q = self.as_fraction()
             return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        terms = self.terms
         text = ""
-        for m in sorted(self.terms, key=_mono_display_key):
-            q = self.terms[m]
+        for m in sorted(terms, key=_mono_display_key):
+            q = terms[m]
             mag = abs(q)
             if m == _CONST:
                 body = f"{mag}"
@@ -339,7 +362,7 @@ class LogConstant:
             return _LC_ZERO
         if ") / (" in text:
             raise ExactError(f"quotient {text!r} is outside Q[l2, l3]")
-        poly: Poly = {}
+        entries = []  # (monomial, numerator, denominator)
         for chunk in text.split(" + "):
             chunk = chunk.strip()
             if not chunk:
@@ -353,8 +376,16 @@ class LogConstant:
                     raise ExactError(f"generator {gen_s!r} is outside Q[l2, l3]")
                 e = int(exp_s) if exp_s else 1
                 i, j = i + mono[0] * e, j + mono[1] * e
-            poly[(i, j)] = poly.get((i, j), _Q(0)) + _Q(coeff_s.strip("()"))
-        return LogConstant({m: c for m, c in poly.items() if c})
+            n_s, _, d_s = coeff_s.strip("()").partition("/")
+            d = int(d_s) if d_s else 1
+            if d <= 0:
+                raise ExactError(f"coefficient {coeff_s!r} has no positive denominator")
+            entries.append(((i, j), int(n_s), d))
+        den = math.lcm(*(d for _, _, d in entries))
+        num: dict = {}
+        for m, n, d in entries:
+            num[m] = num.get(m, 0) + n * (den // d)
+        return _reduced({m: n for m, n in num.items() if n}, den)
 
 
 def _mono_to_string(m: Monomial) -> str:
@@ -372,8 +403,8 @@ def _mono_display_key(m: Monomial) -> tuple:
     return (-(i + j), i == 0, i)
 
 
-_LC_ZERO = LogConstant({})
-_LC_ONE = LogConstant({_CONST: _Q(1)})
+_LC_ZERO = _reduced({}, 1)
+_LC_ONE = _reduced({_CONST: 1}, 1)
 _LOG2_F64 = math.log(2)
 _LOG3_F64 = math.log(3)
 

@@ -40,8 +40,9 @@ The series product is a Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): it packs
 each coefficient into one Python integer, multiplies the integers once per
 pair of terms and unpacks once per product term, so it never calls a
-coefficient's *.  It reads a LogConstant through its map `terms`
-{(i, j): rational with integer numerator and denominator}.  Any other
+coefficient's *.  It reads a LogConstant through its integer numerators
+`num` {(i, j): n} over its denominator `den`, and builds each product
+coefficient from integers, with no rational per monomial.  Any other
 coefficient type must be a polynomial over LogConstant in unknown monomials:
 
 * `terms`, its map {unknown monomial: nonzero LogConstant}, with () the
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import LogConstant, _Q, log_of_rational
+from .exact import LogConstant, _reduced, log_of_rational
 
 ExpPair = tuple[int, int]  # doubled exponents
 
@@ -294,7 +295,7 @@ class TruncatedBiSeries:
             coeffs = {}
             for m, v in out.items():
                 if v:
-                    coeffs[m] = LogConstant(_unpack(v, den, r, width))
+                    coeffs[m] = _unpack(v, den, r, width)
             if coeffs:
                 kind = kinds.get(e)
                 terms[e] = coeffs[()] if kind is None else kind._make(coeffs)
@@ -345,10 +346,11 @@ class TruncatedBiSeries:
         c_inv = c.inverse()
         u = self.scale(c_inv) - self._one_like()
         # geometric series in -u, finite because u has positive valuation
+        neg_u = -u
         acc = self._one_like()
         power = acc
         while True:
-            power = power * (-u)
+            power = power * neg_u
             if power.is_zero():
                 break
             acc = acc + power
@@ -484,20 +486,21 @@ def _scan(terms: dict) -> tuple[int, int, int, int]:
     largest |numerator| over that lcm, its largest l3 power and its number
     of (term, unknown monomial, l-monomial) entries."""
     den = 1
-    top_n, top_d = 0, 1  # the largest |q| as top_n / top_d
+    top_n, top_d = 0, 1  # the largest |coefficient| as top_n / top_d
     jmax = 0
     count = 0
     for c in terms.values():
         for lc in _unknown_terms(c).values():
-            count += len(lc.terms)
-            for (_, j), q in lc.terms.items():
-                n, d = abs(q.numerator), q.denominator
-                if den % d:
-                    den = math.lcm(den, d)
-                if n * top_d > top_n * d:
-                    top_n, top_d = n, d
-                if j > jmax:
-                    jmax = j
+            num, d = lc.num, lc.den
+            count += len(num)
+            if den % d:
+                den = math.lcm(den, d)
+            n = max(max(num.values()), -min(num.values()))
+            if n * top_d > top_n * d:
+                top_n, top_d = n, d
+            j = max(j for _, j in num)
+            if j > jmax:
+                jmax = j
     return den, top_n * (den // top_d), jmax, count
 
 
@@ -511,29 +514,30 @@ def _pack(terms: dict, den: int, r: int, width: int) -> list:
         packed = {}
         for m, lc in _unknown_terms(c).items():
             v = 0
-            for (i, j), q in lc.terms.items():
-                v += q.numerator * (den // q.denominator) << (width * (i * r + j))
-            packed[m] = v
+            for (i, j), n in lc.num.items():
+                v += n << (width * (i * r + j))
+            # the slots are signed, so scaling the packed integer scales each
+            packed[m] = v * (den // lc.den)
         rows.append((e[0] + e[1], e, None if isinstance(c, LogConstant) else type(c), packed))
     rows.sort(key=lambda row: row[0])
     return rows
 
 
-def _unpack(v: int, den: int, r: int, width: int) -> dict:
-    """The l-monomial map {(i, j): rational} of a nonzero packed integer."""
+def _unpack(v: int, den: int, r: int, width: int) -> LogConstant:
+    """The LogConstant of a nonzero packed integer over `den`."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    poly = {}
+    num = {}
     k = 0
     while v:
         s = v & mask
         if s >= half:
             s -= mask + 1
         if s:
-            poly[divmod(k, r)] = _Q(s, den)
+            num[divmod(k, r)] = s
         v = (v - s) >> width
         k += 1
-    return poly
+    return _reduced(num, den)
 
 
 def _coerce_coeff(value):

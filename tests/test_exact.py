@@ -213,6 +213,68 @@ class TestHashAgreesWithEq:
         assert hash(LogConstant.zero()) == hash(0)
 
 
+def assert_canonical(value: LogConstant) -> None:
+    """The stored form: a positive denominator coprime to the numerators
+    taken together, and no zero numerator."""
+    assert value.den > 0
+    assert math.gcd(value.den, *value.num.values()) == 1
+    assert all(value.num.values())
+
+
+def random_wide_logconstant(rng: random.Random) -> LogConstant:
+    """A random value, half the time times a rational of 40-bit numerator
+    and denominator, so denominators meet with common factors and without."""
+    value = random_logconstant(rng)
+    if rng.random() < 0.5:
+        value = value * Fraction(rng.getrandbits(40) + 1, rng.getrandbits(40) + 1)
+    return value
+
+
+class TestCanonicalForm:
+    def test_every_operation_returns_the_canonical_form(self):
+        rng = random.Random(20261020)
+        for _ in range(400):
+            a, b = random_wide_logconstant(rng), random_wide_logconstant(rng)
+            q = random_rational(rng, span=30) * Fraction(rng.getrandbits(30) + 1, rng.getrandbits(30) + 1)
+            unit = LogConstant.from_fraction(q or 1)
+            results = [a + b, a - b, b - a, a * b, a * q, q * a, a + q, -a,
+                       unit.inverse(), a / unit, (-unit) ** -3, a + (-a),
+                       LogConstant.parse(a.to_string()), LogConstant(a.terms),
+                       LogConstant({m: c * q for m, c in a.terms.items()})]
+            for value in results:
+                assert_canonical(value)
+            assert LogConstant(a.terms) == a
+            assert (a + (-a)).den == 1
+
+    def test_constructor_reduces_and_drops_zeros(self):
+        value = LogConstant({(1, 0): Fraction(2, 4), (0, 1): 0, (0, 0): 3, (2, 0): Fraction(-5, 6)})
+        assert (value.den, value.num) == (6, {(1, 0): 3, (0, 0): 18, (2, 0): -5})
+        assert value.terms == {(1, 0): Fraction(1, 2), (0, 0): 3, (2, 0): Fraction(-5, 6)}
+        assert LogConstant({(1, 1): Fraction(7, 3), (0, 0): Fraction(14, 3)}).num == {(1, 1): 7, (0, 0): 14}
+        zero = LogConstant({(1, 0): Fraction(0, 7)})
+        assert (zero.den, zero.num) == (1, {}) and zero == LogConstant.zero()
+
+    def test_equal_values_built_apart_are_equal(self):
+        rng = random.Random(4041)
+        for _ in range(300):
+            a, b, c = (random_wide_logconstant(rng) for _ in range(3))
+            x, y = (a + b) * c, c * b + a * c
+            assert (x.den, x.num) == (y.den, y.num)
+            assert x == y and hash(x) == hash(y)
+            assert_canonical(x)
+            z = (x * Fraction(13, 7) - a) * Fraction(7, 13) + a * Fraction(7, 13)
+            assert z == x and hash(z) == hash(x)
+
+    def test_rational_hashes_as_its_fraction(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            q = Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.getrandbits(70) + 1)
+            assert hash(LogConstant.from_fraction(q)) == hash(q)
+            assert LogConstant.from_fraction(q) == q
+            assert hash(LogConstant.from_fraction(q.numerator)) == hash(q.numerator)
+        assert hash(L2 * 0 + Fraction(6, 4)) == hash(Fraction(3, 2))
+
+
 class TestSerialization:
     def test_canonical_string(self):
         a01 = L2 * (-2) + L3 * Fraction(1, 6) - 2
@@ -235,6 +297,10 @@ class TestSerialization:
         for _ in range(60):
             value = random_logconstant(rng)
             assert LogConstant.parse(value.to_string()) == value
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ExactError):
+            LogConstant.parse("(1/0)*l2 + (1)")
 
     def test_fraction_string(self):
         # a quotient rendering is outside Q[l2, l3]

@@ -187,6 +187,28 @@ class TestPackedProduct:
                 assert_same_product(p, q)
                 assert_same_product(p, p)
 
+    def test_cancelling_denominators_come_back_reduced(self):
+        # (p/q) l2 times (q/p) l3 with large coprime p, q: each operand's
+        # denominator is p*q, the product's content cancels, and every
+        # product coefficient is stored over its reduced denominator
+        rng = random.Random(1882)
+        s, t = (UnknownPoly.from_symbol(sym) for sym in SYMBOLS[:2])
+        for _ in range(40):
+            p, q = rng.getrandbits(61) | 1, rng.getrandbits(59) | 1
+            if math.gcd(p, q) != 1:
+                continue
+            a, b = L2 * Fraction(p, q), L3 * Fraction(q, p)
+            left = TruncatedBiSeries(3, {(0, 0): a, (2, 0): s * b + a, (1, 2): L3 * Fraction(q, p)})
+            right = TruncatedBiSeries(3, {(0, 0): b, (0, 2): t * a - b, (2, 0): L2 * Fraction(p, q)})
+            assert_same_product(left, right)
+            prod = left * right
+            assert prod.terms[(0, 0)] == L2 * L3
+            assert prod.terms[(0, 0)].den == 1
+            for c in prod.terms.values():
+                for lc in ((c,) if isinstance(c, LogConstant) else c.terms.values()):
+                    assert lc.den > 0 and all(lc.num.values())
+                    assert math.gcd(lc.den, *lc.num.values()) == 1
+
     def test_cubic_unknown_product_raises(self):
         s, t = (UnknownPoly.from_symbol(sym) for sym in SYMBOLS[:2])
         square = TruncatedBiSeries(2, {(0, 0): LogConstant.one(), (2, 0): s * t})
