@@ -9,15 +9,18 @@ as Q(X, Y) with
     Q = (1-Y)*P + Y*(1+Delta)^(-1)*(1 - Y^(-1))*Delta(P).
 
 rho is evaluated two ways: a per-unit-interval spectral collocation of the
-delay equation u*rho'(u) = -rho(u-1) carrying log(rho), and the asymptotic
-form log(rho(u)) ~ -u*log(u)*Q(X(u), Y(u)) which only converges for large u.
-numpy and scipy load on the first rho or de Bruijn call, so the exact engine
-and the read path never load them.
+delay equation u*rho'(u) = -rho(u-1) carrying log(rho), one linear solve per
+interval, and the asymptotic form log(rho(u)) ~ -u*log(u)*Q(X(u), Y(u)) which
+only converges for large u.  The integral of s has the closed form
+integral_1^u s d(eta) = u*s - Ei(s) + log(s) + gamma with s = s(u), so the de
+Bruijn evaluators are pure Python.  numpy loads on the first rho_numeric
+call, and only there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,17 +187,23 @@ def s_numeric(eta: float) -> float:
 
     Newton iteration started at log(eta) + loglog(eta), safeguarded by a
     bracket: f(s) = s - log(1+s*eta) is negative between 0 and the root.
+    Where s*eta would overflow (eta above about 2.6e305), log(1 + s*eta) is
+    taken as log(eta) + log(s + 1/eta).
     """
     if not eta > 1.0:
         raise DomainError(f"s(eta) needs eta > 1, got {eta}")
+    log_eta = math.log(eta)
 
     def f(s):
-        return s - math.log1p(s * eta)
+        if s * eta < math.inf:
+            return s - math.log1p(s * eta)
+        return s - (log_eta + math.log(s + 1.0 / eta))
 
     def fp(s):
-        return 1.0 - eta / (1.0 + s * eta)
+        if s * eta < math.inf:
+            return 1.0 - eta / (1.0 + s * eta)
+        return 1.0 - 1.0 / (s + 1.0 / eta)
 
-    log_eta = math.log(eta)
     s0 = log_eta + math.log(log_eta) if log_eta > 1.0 else max(log_eta, 0.5)
     s0 = max(s0, 1e-8)
     lo = 1e-300  # f(lo) < 0 for any eta > 1
@@ -222,30 +231,75 @@ def s_numeric(eta: float) -> float:
     return s
 
 
-def integral_s_numeric(u: float) -> float:
-    """integral_e^u s(eta) d(eta) by adaptive quadrature after eta = e^t."""
-    if not math.e < u < math.inf:
-        raise DomainError(f"integral needs finite u > e, got {u}")
-    from scipy import integrate
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-    value, _err = integrate.quad(
-        lambda t: s_numeric(math.exp(t)) * math.exp(t),
-        1.0, math.log(u), epsrel=1e-10, epsabs=0.0, limit=400,
-    )
-    return value
+
+def _ei(x: float, log_scale: float = 0.0) -> float:
+    """Ei(x) * exp(-log_scale) for x > 0; inf where that exceeds float range.
+
+    Up to x = 40 the convergent series gamma + log x + sum x^k/(k k!), whose
+    terms are all positive; above it the asymptotic series
+    e^x/x * sum k!/x^k, cut off at its smallest term (below 1e-16 there).
+    """
+    if x <= 40.0:
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= x / k
+            total += term / k
+            if term < 1e-17 * total:
+                break
+        return (EULER_GAMMA + math.log(x) + total) * math.exp(-log_scale)
+    total, term, k = 1.0, 1.0, 0
+    while True:
+        k += 1
+        next_term = term * k / x
+        if next_term >= term or next_term < 1e-17 * total:
+            break
+        term = next_term
+        total += term
+    # e^(x - log_scale) as two halves, so math.exp stays in range while the
+    # product is still finite
+    exponent = x - log_scale
+    if exponent > 2.0 * _LOG_FLOAT_MAX:
+        return math.inf
+    half = math.exp(0.5 * exponent)
+    return half * (half / x * total)
+
+
+def _antiderivative(eta: float) -> float:
+    """F(eta) = eta*s - Ei(s) + log s with s = s(eta), written as
+    eta*(s - Ei(s)/eta) + log s so that nothing overflows before the value.
+
+    dF/d(eta) = s because e^s = 1 + s*eta at the root, and dF/ds vanishes
+    there, so the root's error enters F only to second order.
+    """
+    s = s_numeric(eta)
+    return eta * (s - _ei(s, math.log(eta))) + math.log(s)
 
 
 @lru_cache(maxsize=1)
-def _integral_s_one_to_e() -> float:
-    # offset used by the de Bruijn form; s -> 0 as eta -> 1+ so the
-    # integrand is bounded
-    from scipy import integrate
+def _antiderivative_at_e() -> float:
+    return _antiderivative(math.e)
 
-    value, _err = integrate.quad(
-        lambda t: (s_numeric(math.exp(t)) if t > 1e-14 else 0.0) * math.exp(t),
-        0.0, 1.0, epsrel=1e-12, epsabs=1e-14, limit=400,
-    )
-    return value
+
+def integral_s_numeric(u: float) -> float:
+    """integral_e^u s(eta) d(eta) in closed form, F(u) - F(e).
+
+    F is the antiderivative eta*s - Ei(s) + log s (de Bruijn 1951); against
+    a 40-digit quadrature it is good to 1e-13 * u * s(u) absolute from just
+    above e to 1e300, and it is inf only where the integral exceeds float
+    range (u above about 2.5e305).
+    """
+    if not math.e < u < math.inf:
+        raise DomainError(f"integral needs finite u > e, got {u}")
+    return _antiderivative(u) - _antiderivative_at_e()
+
+
+def _integral_s_one_to_e() -> float:
+    # offset used by the de Bruijn form: s -> 0 as eta -> 1+, where
+    # F -> -gamma, so integral_1^e s d(eta) = F(e) + gamma
+    return _antiderivative_at_e() + EULER_GAMMA
 
 
 class _RhoTable:
@@ -260,12 +314,16 @@ class _RhoTable:
     the value computed, so relative error is preserved instead of being
     amplified by rho(u-1)/rho(u) at every step (that amplification is what
     wrecks naive forward steppers).  Per unit interval [k, k+1] the ratio
-    rho(u)/rho(k) is found as the fixed point of
+    q(u) = rho(u)/rho(k) is the degree-d polynomial whose values v at the
+    d+1 Chebyshev points u_i of the interval satisfy the linear system
 
-        q(u) = (R * int_{u-1}^{k} q_prev + int_k^u q) / u,   R = rho(k-1)/rho(k),
+        (diag(u_i) - J) v = r_k,   r_k = (w.v_prev - J v_prev) / (e.v_prev),
 
-    represented as a Chebyshev interpolant of the configured degree; log rho
-    is carried as per-interval offsets, so nothing underflows up to u = 500.
+    where J maps node values to the node values of int_k^u, w integrates over
+    the whole interval, e evaluates at its right end, and v_prev holds the
+    previous interval's node values (all ones on [0, 1]).  All intervals have
+    unit width, so J, w and e are built once per table.  log rho is carried
+    as per-interval offsets, so nothing underflows up to u = 500.
     """
 
     def __init__(self, degree: int):
@@ -273,41 +331,44 @@ class _RhoTable:
         self.offsets = [0.0]  # log rho(k) for k = 1, 2, ...
         self.ratios: list = []  # numpy Chebyshev interpolants of rho(u)/rho(k)
         self.lock = threading.Lock()
+        self._operators = None  # (nodes, values->coefficients, J, w, e)
+        self._values = None  # the last built interval's node values
+
+    def _build_operators(self):
+        import numpy as np
+        from numpy.polynomial import chebyshev as cheb
+
+        n = self.degree + 1
+        x = cheb.chebpts1(n)  # the nodes of Chebyshev.interpolate on [-1, 1]
+        to_coef = cheb.chebvander(x, self.degree).T
+        to_coef[0] /= n
+        to_coef[1:] /= 0.5 * n
+        # integral from the left end in u = (x + 1)/2, so d(u) = d(x)/2
+        integ = cheb.chebint(np.eye(n), lbnd=-1.0, scl=0.5, axis=0) @ to_coef
+        jmat = cheb.chebvander(x, self.degree + 1) @ integ
+        whole = cheb.chebvander(np.array([1.0]), self.degree + 1)[0] @ integ
+        # the right-end row in closed form: (-1)^i cot(theta_i/2) / n at
+        # x = cos(theta_i), theta_i = pi (i + 1/2) / n, listed as x ascends;
+        # summing the columns of to_coef instead loses 2e-14
+        i = np.arange(n)[::-1]
+        right = np.where(i % 2, -1.0, 1.0) / (n * np.tan(0.5 * np.pi * (i + 0.5) / n))
+        return x, to_coef, jmat, whole, right
 
     def _build_interval(self, k: int) -> None:
         import numpy as np
         from numpy.polynomial.chebyshev import Chebyshev
 
-        if k == 1:
-            # rho = 1 on [0, 1]: known part of the integral is 2 - u
-            def known(u):
-                return 2.0 - np.asarray(u, dtype=float)
-        else:
-            q_prev = self.ratios[k - 2]
-            r_scale = 1.0 / float(q_prev(float(k)))  # rho(k-1)/rho(k)
-            prim = q_prev.integ(lbnd=k - 1)
-            prim_at_k = float(prim(float(k)))
-
-            def known(u, r_scale=r_scale, prim=prim, prim_at_k=prim_at_k):
-                u = np.asarray(u, dtype=float)
-                return r_scale * (prim_at_k - prim(u - 1.0))
-
-        q = Chebyshev.interpolate(
-            lambda u: known(u) / np.asarray(u, dtype=float),
-            self.degree, domain=[k, k + 1],
-        )
-        for _ in range(400):
-            def step(u, q=q):
-                u = np.asarray(u, dtype=float)
-                return (known(u) + q.integ(lbnd=k)(u)) / u
-
-            q_next = Chebyshev.interpolate(step, self.degree, domain=[k, k + 1])
-            delta_coef = np.max(np.abs(q_next.coef - q.coef))
-            q = q_next
-            if delta_coef <= 1e-16 * max(1.0, np.max(np.abs(q.coef))):
-                break
-        self.ratios.append(q)
-        self.offsets.append(self.offsets[-1] + math.log(float(q(k + 1.0))))
+        if self._operators is None:
+            self._operators = self._build_operators()
+            self._values = np.ones(self.degree + 1)  # rho = 1 on [0, 1]
+        x, to_coef, jmat, whole, right = self._operators
+        prev = self._values
+        rhs = (whole @ prev - jmat @ prev) / (right @ prev)
+        nodes = k + 0.5 + 0.5 * x
+        values = np.linalg.solve(np.diag(nodes) - jmat, rhs)
+        self._values = values
+        self.ratios.append(Chebyshev(to_coef @ values, domain=[k, k + 1]))
+        self.offsets.append(self.offsets[-1] + math.log(float(right @ values)))
 
     def log_rho(self, u: float) -> float:
         if u <= 1.0:

@@ -300,10 +300,13 @@ FLOAT_STACK_SCRIPT = textwrap.dedent("""
     exact_only = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 
     from nfsasym.dickman import log_rho_debruijn, rho_numeric
-    rho2 = rho_numeric(2.0).rho
     db = log_rho_debruijn(5.0, 3)
+    assert cli.main(["rho", "--u", "30", "--method", "series"]) == 0
+    debruijn_only = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    rho2 = rho_numeric(2.0).rho
     print(json.dumps({
         "exact_only": exact_only,
+        "debruijn_only": debruijn_only,
         "after_float": sorted(m for m in ("numpy", "scipy") if m in sys.modules),
         "rho2": rho2,
         "rho5": rho_numeric(5.0).log_rho,
@@ -323,7 +326,8 @@ def test_float_stack_loads_only_for_float_evaluators(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["exact_only"] == []
-    assert got["after_float"] == ["numpy", "scipy"]
+    assert got["debruijn_only"] == []
+    assert got["after_float"] == ["numpy"]
     assert got["rho2"] == pytest.approx(1.0 - math.log(2.0), abs=1e-9)
     assert math.isfinite(got["db_series"])
     assert abs(got["db_integral"] - got["rho5"]) < 0.5

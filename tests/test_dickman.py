@@ -1,6 +1,9 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import lambertw
@@ -135,6 +138,13 @@ class TestSNumeric:
         with pytest.raises(DomainError):
             s_numeric(1.0)
 
+    @pytest.mark.parametrize("eta", [1e306, 1.7e308])
+    def test_root_where_s_times_eta_overflows(self, eta):
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eta)
+            want = mpmath.findroot(lambda s: s - mpmath.log(1 + s * e), math.log(eta) + 7)
+        assert s_numeric(eta) == pytest.approx(float(want), rel=1e-13)
+
 
 class TestIntegralS:
     def test_vanishes_at_lower_end(self):
@@ -157,6 +167,72 @@ class TestIntegralS:
         with pytest.raises(DomainError, match="finite"):
             integral_s_numeric(math.inf)
 
+    @staticmethod
+    def root_free_oracle(s_lo, s_hi):
+        """integral s d(eta) over eta(s_lo)..eta(s_hi), with eta(s) = (e^s - 1)/s
+        the inverse of s(eta), as integral s * eta'(s) ds at 40 digits."""
+        with mpmath.workdps(40):
+            # s * eta'(s) = e^s * h(s), h(s) = 1 - (1 - e^-s)/s; integrate
+            # e^-t * h(s_hi - t) over t in [0, s_hi - s_lo] on doubling panels
+            def integrand(t):
+                s = s_hi - t
+                return mpmath.exp(-t) * (1 + mpmath.expm1(-s) / s)
+            length = s_hi - s_lo
+            knots = [mpmath.mpf(0)]
+            while knots[-1] * 2 + 1 < length:
+                knots.append(knots[-1] * 2 + 1)
+            return mpmath.exp(s_hi) * mpmath.quad(integrand, knots + [length])
+
+    @staticmethod
+    def s_of(u):
+        with mpmath.workdps(40):
+            e = mpmath.mpf(u)
+            return mpmath.findroot(lambda s: s - mpmath.log(1 + s * e), s_numeric(u))
+
+    @pytest.mark.parametrize("u", [math.e * (1 + 1e-6), 3.0, 30.0, 500.0, math.exp(8.0), 1e30, 1e300])
+    def test_closed_form_against_root_free_oracle(self, u):
+        s_u = self.s_of(u)
+        with mpmath.workdps(40):
+            want = self.root_free_oracle(self.s_of(math.e), s_u)
+            # absolute bound: near e the value is a difference of two close F values
+            assert abs(integral_s_numeric(u) - want) <= 1e-13 * u * s_u
+
+    def test_one_to_e_against_root_free_oracle(self):
+        # eta -> 1+ as s -> 0+
+        want = self.root_free_oracle(mpmath.mpf(0), self.s_of(math.e))
+        assert dickman._integral_s_one_to_e() == pytest.approx(float(want), rel=1e-14)
+
+
+class TestEi:
+    # Ei has a simple zero at x0 = 0.37250741...; there no float evaluation
+    # can hold a relative bound, so the geometric grid below stays clear of
+    # it and the neighbourhood is checked in absolute terms
+    POINTS = [10.0 ** (-8 + (8 + math.log10(709.0)) * i / 39) for i in range(40)] + [
+        40.0 - 1e-9, 40.0, 40.0 + 1e-9, 1.0, 5.0, 39.5, 40.5, 100.0, 709.0]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_against_mpmath(self, x):
+        with mpmath.workdps(40):
+            want = mpmath.ei(mpmath.mpf(x))
+            assert abs(dickman._ei(x) - want) <= 2e-15 * abs(want)
+
+    def test_near_its_zero(self):
+        for x in (0.37, 0.3725, 0.37250741078136663, 0.3726, 0.375):
+            with mpmath.workdps(40):
+                assert abs(dickman._ei(x) - mpmath.ei(mpmath.mpf(x))) <= 2e-15
+
+    def test_scaled_form(self):
+        for x, log_scale in ((3.0, 1.2), (45.0, 41.0), (711.0, 704.6)):
+            with mpmath.workdps(40):
+                want = mpmath.ei(mpmath.mpf(x)) * mpmath.exp(-mpmath.mpf(log_scale))
+                assert abs(dickman._ei(x, log_scale) - want) <= 2e-15 * abs(want)
+
+    def test_no_overflow_error(self):
+        with mpmath.workdps(40):
+            assert dickman._ei(712.0) == pytest.approx(float(mpmath.ei(712)), rel=2e-15)
+        for x in (716.5, 1000.0, 1e300):
+            assert dickman._ei(x) == math.inf
+
 
 def rho3_trapezoid_oracle(step: float = 1e-5) -> float:
     """Brute-force forward trapezoid integration of u rho'(u) = -rho(u-1)
@@ -173,6 +249,81 @@ def rho3_trapezoid_oracle(step: float = 1e-5) -> float:
         prev = vals
         rho_at_k = float(vals[-1])
     return rho_at_k
+
+
+def reference_rho_table(degree: int, k_max: int):
+    """Picard iteration of the collocation equation per unit interval: the
+    oracle for the table's one linear solve per interval.  Returns the
+    Chebyshev interpolants of rho(u)/rho(k) on [k, k+1] and log rho(k)."""
+    from numpy.polynomial.chebyshev import Chebyshev
+
+    ratios, offsets = [], [0.0]
+    for k in range(1, k_max + 1):
+        if k == 1:
+            def known(u):  # rho = 1 on [0, 1]
+                return 2.0 - u
+        else:
+            q_prev = ratios[-1]
+            r_scale = 1.0 / float(q_prev(float(k)))
+            prim = q_prev.integ(lbnd=k - 1)
+            prim_at_k = float(prim(float(k)))
+
+            def known(u, r_scale=r_scale, prim=prim, prim_at_k=prim_at_k):
+                return r_scale * (prim_at_k - prim(u - 1.0))
+
+        q = Chebyshev.interpolate(lambda u: known(u) / u, degree, domain=[k, k + 1])
+        for _ in range(400):
+            step = q.integ(lbnd=k)
+            q_next = Chebyshev.interpolate(
+                lambda u: (known(u) + step(u)) / u, degree, domain=[k, k + 1])
+            change = np.max(np.abs(q_next.coef - q.coef))
+            q = q_next
+            if change <= 1e-16 * max(1.0, np.max(np.abs(q.coef))):
+                break
+        ratios.append(q)
+        offsets.append(offsets[-1] + math.log(float(q(k + 1.0))))
+    return ratios, offsets
+
+
+def taylor_rho_oracle(k_max: int, dps: int = 60, terms: int = 200):
+    """rho(k+1-x) = sum_i a_i x^i on [k, k+1] from u rho'(u) = -rho(u-1):
+    (k+1)(i+1) a_{i+1} = b_i + i a_i with b the previous interval's
+    coefficients, and a_0 = rho(k) - sum_{i>=1} a_i.  Returns log rho(u) as
+    a function of u in (1, k_max + 1]."""
+    with mpmath.workdps(dps):
+        b = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)  # rho = 1 on [0, 1]
+        coefficients = {}
+        for k in range(1, k_max + 1):
+            a = [mpmath.mpf(0)] * terms
+            for i in range(terms - 1):
+                a[i + 1] = (b[i] + i * a[i]) / ((k + 1) * (i + 1))
+            a[0] = b[0] - mpmath.fsum(a[1:])  # b[0] = rho(k)
+            coefficients[k] = b = a
+
+    def log_rho(u: float) -> float:
+        k = math.ceil(u) - 1
+        with mpmath.workdps(dps):
+            x = k + 1 - mpmath.mpf(u)
+            return float(mpmath.log(mpmath.polyval(coefficients[k][::-1], x)))
+
+    return log_rho
+
+
+class TestRhoOracles:
+    def test_against_picard_reference(self):
+        ratios, offsets = reference_rho_table(dickman.RHO_DEGREE, 500)
+        rng = random.Random(20)
+        for u in [1.0 + 499.0 * (1.0 - rng.random()) for _ in range(200)]:
+            k = min(int(u), 500)
+            want = offsets[k - 1] + math.log(float(ratios[k - 1](u)))
+            assert abs(rho_numeric(u).log_rho - want) <= 1e-13 * abs(want), u
+
+    def test_against_taylor_oracle(self):
+        log_rho = taylor_rho_oracle(19)
+        points = [1.05 + 0.25 * i for i in range(76)] + [float(k) for k in range(2, 21)]
+        for u in points:
+            want = log_rho(u)
+            assert abs(rho_numeric(u).log_rho - want) <= 1e-13 * abs(want), u
 
 
 class TestRho:
@@ -257,6 +408,28 @@ class TestDeBruijn:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             log_rho_debruijn(math.inf, 4)
+
+    def test_both_forms_beyond_float_range_at_1e306(self):
+        # -log rho(1e306) is about 7.1e308, past the largest float
+        db = log_rho_debruijn(1e306, 3)
+        assert db.log_rho_series == -math.inf
+        assert db.log_rho_integral == -math.inf
+
+    def test_never_nan_up_to_float_max(self):
+        float_max = mpmath.mpf(sys.float_info.max)
+        q3 = q_series(3).series
+        for u in [math.e * (1 + 1e-12)] + [10.0 ** (k / 8) for k in range(4, 2465)] + [1.79e308]:
+            db = log_rho_debruijn(u, 3)
+            for value in (db.log_rho_series, db.log_rho_integral):
+                assert not math.isnan(value) and value < math.inf, u
+            # -inf only where the value is beyond float range
+            with mpmath.workdps(30):
+                e = mpmath.mpf(u)
+                if db.log_rho_series == -math.inf:
+                    assert e * mpmath.log(e) * q3.eval_f64(*xy_of(u)) > float_max, u
+                if db.log_rho_integral == -math.inf:
+                    s = mpmath.findroot(lambda s: s - mpmath.log(1 + s * e), s_numeric(u))
+                    assert e * s - mpmath.ei(s) + mpmath.log(s) > float_max, u
 
 
 class TestRadius:
