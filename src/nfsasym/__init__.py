@@ -1,8 +1,9 @@
 """Exact and numeric toolkit for the asymptotic expansion of the heuristic
-Number Field Sieve complexity: Dickman-de Bruijn series machinery, an exact
-bivariate-series engine over Q[log 2, log 3], the guess/prove pipeline
-for the minimizing parameters, and floating-point evaluators for the
-resulting truncations.
+Number Field Sieve complexity: the Dickman-de Bruijn series (P in its closed
+Stirling form, and the exponent series Q built from it), an exact
+bivariate-series engine over Q[log 2, log 3], the guess/prove pipeline for
+the minimizing parameters, and floating-point evaluators for the resulting
+truncations.  The names below are the public API.
 """
 
 from .exact import (
@@ -14,14 +15,12 @@ from .pseries import (
 )
 from .dickman import (
     PSeries, QSeries, RhoValue,
-    cep_series, integral_s_numeric, log_rho_debruijn,
-    p_series_recurrence, p_series_stirling, q_series,
+    cep_series, integral_s_numeric, log_rho_debruijn, p_series, q_series,
     radius_constant, radius_threshold_check, rho_numeric, s_numeric,
-    stirling_first_signed,
 )
 from .asym import (
     ScaledAsymptotic,
-    asym_add, asym_div, asym_log, asym_mul, asym_neg, p_of, x_of, y_of,
+    asym_add, asym_div, asym_mul, asym_neg, p_of,
 )
 from .nfsopt import (
     CandidateExpansion, ExistenceCertificate, ExpansionResult, ProofLog,
@@ -29,7 +28,7 @@ from .nfsopt import (
     constraint_residual, guess_terms, prove_existence,
 )
 from .evalkit import (
-    complexity_log, figure_data, g_demo, xi_eval, xi_eval_loglog, xi_gap_loglog,
+    complexity_log, figure_data, g_demo, xi_eval, xi_eval_loglog,
 )
 
 __version__ = "0.1.0"

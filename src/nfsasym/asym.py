@@ -109,18 +109,6 @@ class ScaledAsymptotic:
         )
 
 
-def asym_equal(f: ScaledAsymptotic, g: ScaledAsymptotic) -> bool:
-    """Mathematical equality, independent of which scale carries the series."""
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    if (f.nu_exp, f.lognu_exp) != (g.nu_exp, g.lognu_exp):
-        return False
-    ratio = scale_ratio_as_rational(g.scale, f.scale)
-    if ratio is None:
-        return False
-    return f.series == g.series.scale(ratio)
-
-
 def asym_neg(f: ScaledAsymptotic) -> ScaledAsymptotic:
     return ScaledAsymptotic(f.scale, f.nu_exp, f.lognu_exp, -f.series)
 
@@ -202,15 +190,6 @@ def _log_series(f: ScaledAsymptotic) -> TruncatedBiSeries:
     return g
 
 
-def asym_log(f: ScaledAsymptotic) -> ScaledAsymptotic:
-    """log f as an asymptotic element (alpha=0, beta=1 in the scaled case)."""
-    if f.is_zero():
-        raise AsymError("log of the zero element")
-    if f.nu_exp == 0 and f.lognu_exp == 0 and f.scale.is_one():
-        return ScaledAsymptotic(RadicalScale.one(), 0, 0, f.series.log())
-    return ScaledAsymptotic(RadicalScale.one(), 0, 1, _log_series(f))
-
-
 def _xy_series(f: ScaledAsymptotic):
     """(X(f), Y(f), G) with log f = log nu * G: Y(f) = Y/G and
     X(f) = (X + Y*log G)/G."""
@@ -222,16 +201,6 @@ def _xy_series(f: ScaledAsymptotic):
     ys = g_inv.shift(0, 1).truncate(order)
     xs = (TruncatedBiSeries.x(order) + g.log().shift(0, 1).truncate(order)) * g_inv
     return xs, ys, g
-
-
-def y_of(f: ScaledAsymptotic) -> TruncatedBiSeries:
-    """The series of Y(f) = 1/log f."""
-    return _xy_series(f)[1]
-
-
-def x_of(f: ScaledAsymptotic) -> TruncatedBiSeries:
-    """The series of X(f) = loglog f / log f."""
-    return _xy_series(f)[0]
 
 
 def p_of(u: ScaledAsymptotic, n: int, q: Optional[TruncatedBiSeries] = None) -> ScaledAsymptotic:

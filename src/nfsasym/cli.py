@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,10 +156,20 @@ def _cmd_expand(args) -> int:
 # numeric commands
 # ---------------------------------------------------------------------------
 
+def _rho_text(log_rho: float) -> str:
+    """rho as printed: the float exp(log_rho) while that is a normal float;
+    below that range, where exp loses digits and then gives 0.0, a mantissa
+    and a power of 10 computed from the log, to 17 digits."""
+    rho = math.exp(log_rho)
+    if rho >= sys.float_info.min:
+        return repr(rho)
+    return f"{Decimal(log_rho).exp():.16e}"
+
+
 def _cmd_rho(args) -> int:
     if args.method == "dde":
         value = rho_numeric(args.u)
-        print(f"rho({args.u}) = {math.exp(value.log_rho)!r}   log = {value.log_rho!r}")
+        print(f"rho({args.u}) = {_rho_text(value.log_rho)}   log = {value.log_rho!r}")
     else:
         db = log_rho_debruijn(args.u, args.order)
         print(f"log rho({args.u}) series(order {args.order}) = {db.log_rho_series!r}")

@@ -3,10 +3,13 @@ for s(eta), its integral and rho(u), and the radius-of-convergence constants.
 
 Notation: X(eta) = loglog(eta)/log(eta) and Y(eta) = 1/log(eta).  s(eta) is
 the positive root of s = log(1 + s*eta); s(eta)/log(eta) expands as the
-bivariate series P(X, Y), and (1/(u log u)) * integral_e^u s d(eta) expands
-as Q(X, Y) with
+bivariate series P(X, Y), built from its closed form in the signed Stirling
+numbers of the first kind (p_series), and (1/(u log u)) * integral_e^u s
+d(eta) expands as Q(X, Y) with
 
-    Q = (1-Y)*P + Y*(1+Delta)^(-1)*(1 - Y^(-1))*Delta(P).
+    Q = (1-Y)*P + Y*(1+Delta)^(-1)*(1 - Y^(-1))*Delta(P),
+
+so neither series needs a series log.
 
 rho is evaluated two ways: a per-unit-interval spectral collocation of the
 delay equation u*rho'(u) = -rho(u-1) carrying log(rho), one linear solve per
@@ -41,40 +44,12 @@ class RangeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Signed Stirling numbers of the first kind
-# ---------------------------------------------------------------------------
-
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
-
-
-def stirling_first_signed(i: int, k: int) -> int:
-    """Coefficient of x^k in x(x-1)...(x-i+1), via s(i+1,k) = s(i,k-1) - i*s(i,k)."""
-    if i < 0 or k < 0:
-        raise DomainError("stirling_first_signed needs i, k >= 0")
-    if k > i:
-        return 0
-    with _stirling_lock:
-        while len(_stirling_rows) <= i:
-            n = len(_stirling_rows) - 1
-            prev = _stirling_rows[n]
-            row = [0] * (n + 2)
-            for j in range(n + 2):
-                above = prev[j] if j <= n else 0
-                left = prev[j - 1] if 1 <= j <= n + 1 else 0
-                row[j] = left - n * above
-            _stirling_rows.append(row)
-        return _stirling_rows[i][k]
-
-
-# ---------------------------------------------------------------------------
 # The P and Q series
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PSeries:
     series: TruncatedBiSeries
-    method: str  # "recurrence" | "stirling"
 
     def __post_init__(self):
         one = LogConstant.one()
@@ -103,43 +78,33 @@ class QSeries:
 class RhoValue:
     u: float
     log_rho: float
-    method: str  # "dde" | "debruijn_integral"
 
     @property
     def rho(self) -> float:
         return math.exp(self.log_rho)
 
 
-def p_series_recurrence(n: int) -> PSeries:
-    """P_0 = 1, then P_{k+1} = trunc_{k+1}[1 + X + Y*log P_k]."""
-    if n < 0:
-        raise DomainError("series order must be >= 0")
-    p = TruncatedBiSeries.one(0)
-    for k in range(n):
-        order = k + 1
-        # the iterate is polynomial, so it is exact at any order
-        p = (TruncatedBiSeries.one(order) + TruncatedBiSeries.x(order)
-             + TruncatedBiSeries.y(order) * p.with_order(order).log())
-    return PSeries(p.with_order(n), "recurrence")
+def p_series(n: int) -> PSeries:
+    """P in closed form,
 
+        P = 1 + X + Y * sum_{i>=1} sum_{j=1..i} S(i, i-j+1)/j! * X^j Y^(i-j),
 
-def p_series_stirling(n: int) -> PSeries:
-    """P = 1 + X + Y * sum_{i>=1} sum_{j=1..i} S(i, i-j+1)/j! * X^j Y^{i-j}."""
+    with S(i, k) the signed Stirling numbers of the first kind (the
+    coefficients of x(x-1)...(x-i+1)); the term at i has degree i + 1.
+    """
     if n < 0:
         raise DomainError("series order must be >= 0")
     one = LogConstant.one()
     terms = {(0, 0): one}
     if n >= 1:
         terms[(2, 0)] = one
-    fact = [1]
-    for i in range(1, n + 1):
-        fact.append(fact[-1] * i)
-    for i in range(1, n):  # term degree is i+1
+    stirling = [1]  # S(i, k) for k = 0..i, from S(i, k) = S(i-1, k-1) - (i-1) S(i-1, k)
+    for i in range(1, n):
+        stirling = [a - (i - 1) * b for a, b in zip([0] + stirling, stirling + [0])]
         for j in range(1, i + 1):
-            c = Fraction(stirling_first_signed(i, i - j + 1), fact[j])
-            if c:
-                terms[(2 * j, 2 * (i - j) + 2)] = LogConstant.from_fraction(c)
-    return PSeries(TruncatedBiSeries(n, terms), "stirling")
+            c = Fraction(stirling[i - j + 1], math.factorial(j))
+            terms[(2 * j, 2 * (i - j) + 2)] = LogConstant.from_fraction(c)
+    return PSeries(TruncatedBiSeries(n, terms))
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +112,7 @@ def q_series(n: int) -> QSeries:
     """Q = (1-Y)P + Y*(1+Delta)^(-1)(1 - Y^(-1))(Delta P), truncated at n."""
     if n < 0:
         raise DomainError("series order must be >= 0")
-    p = p_series_recurrence(n).series
+    p = p_series(n).series
     dp = delta(p)
     operand = dp - dp.divide_by_y()
     resolved = neumann_inverse_one_plus_delta(operand)
@@ -394,7 +359,7 @@ def rho_numeric(u: float) -> RhoValue:
         raise RangeError(
             f"rho_numeric is limited to u <= {RHO_U_MAX}; use log_rho_debruijn for the tail"
         )
-    return RhoValue(u, _rho_table.log_rho(u), "dde")
+    return RhoValue(u, _rho_table.log_rho(u))
 
 
 @dataclass(frozen=True)
@@ -404,10 +369,6 @@ class DeBruijnRho:
     order: int
     log_rho_series: float      # -u log u * Q^(order)(X(u), Y(u))
     log_rho_integral: float    # e^gamma/sqrt(2 pi u) * exp(-int_1^u s d eta), in log form
-
-    @property
-    def q_value(self) -> float:
-        return -self.log_rho_series / (self.u * math.log(self.u))
 
 
 def log_rho_debruijn(u: float, order: int) -> DeBruijnRho:

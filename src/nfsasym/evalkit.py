@@ -89,17 +89,6 @@ def xi_eval_loglog(cand: CandidateExpansion, i: int, loglognu: float) -> float:
     return xi_truncation(cand, i).eval_loglog(loglognu)
 
 
-def xi_gap_loglog(cand: CandidateExpansion, i: int, loglognu: float) -> float:
-    """|xi_i - xi_{i-1}|, evaluated from the degree-i slice of A directly so
-    deep-tail gaps are free of floating cancellation."""
-    if i < 1 or i > cand.degA:
-        raise DegreeUnavailableError(i, cand.degA)
-    slice_terms = {e: c for e, c in cand.A.terms.items() if e[0] + e[1] == 2 * i}
-    piece = TruncatedBiSeries(i, slice_terms)
-    x, y = xy_from_loglognu(loglognu)
-    return abs(piece.eval_f64(x, y))
-
-
 def complexity_log(cand: CandidateExpansion, nu: float, i: int) -> float:
     """log C(N) for nu = log N under the degree-i truncation."""
     if not math.exp(math.e) < nu < math.inf:

@@ -505,9 +505,6 @@ class RadicalScale:
     def __hash__(self):
         return hash((self.coeff, tuple(sorted(self.exps.items()))))
 
-    def is_one(self) -> bool:
-        return self.coeff == 1 and not self.exps
-
     def eval_f64(self) -> float:
         value = float(self.coeff)
         for p, e in self.exps.items():

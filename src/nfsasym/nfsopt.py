@@ -364,13 +364,6 @@ class ProofLog:
             for i in range(len(pats))
         )
 
-    def half_integer_values(self) -> list[tuple]:
-        out = []
-        for s in self.steps:
-            if not s.slot_is_integer:
-                out.append((s.slot, s.b_value, s.d_value))
-        return out
-
 
 @dataclass
 class ExistenceCertificate:

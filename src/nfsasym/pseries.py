@@ -12,9 +12,9 @@ A series may also carry a bound on its Y exponent (y_bounded): it then keeps
 no term whose Y exponent exceeds the bound, and a binary operation keeps the
 tighter bound of its operands.  The terms beyond any bound form an ideal of
 the series ring, so dropping them is a ring homomorphism: it commutes with
-+, -, *, scale, shift, truncate, inverse, log and exp, with Delta (which
-never lowers a Y exponent) and with compose into a bounded substitute.  A
-bounded result is therefore the unbounded one with the same terms dropped.
++, -, *, scale, shift, truncate, inverse and log, with Delta (which never
+lowers a Y exponent) and with compose into a bounded substitute.  A bounded
+result is therefore the unbounded one with the same terms dropped.
 Division by Y is the one operation that does not descend (it would bring the
 dropped terms back), so divide_by_y refuses a bounded series.  Without a
 bound no operation pays any per-term check.
@@ -372,22 +372,6 @@ class TruncatedBiSeries:
             if power.is_zero():
                 break
             acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
-        return acc
-
-    def exp(self) -> "TruncatedBiSeries":
-        if self.constant_term():
-            raise SeriesError("exp requires a zero constant term")
-        acc = self._one_like()
-        power = acc
-        k = 0
-        fact = 1
-        while True:
-            k += 1
-            fact *= k
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction(1, fact))
         return acc
 
     def compose(self, xs: "TruncatedBiSeries", ys: "TruncatedBiSeries") -> "TruncatedBiSeries":

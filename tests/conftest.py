@@ -32,6 +32,17 @@ def reference_table() -> dict:
     }
 
 
+def p_series_recurrence(n: int) -> TruncatedBiSeries:
+    """The oracle for dickman.p_series: P_0 = 1, then
+    P_{k+1} = trunc_{k+1}[1 + X + Y*log P_k] (the iterate is polynomial, so
+    it is exact at any order)."""
+    p = TruncatedBiSeries.one(0)
+    for order in range(1, n + 1):
+        p = (TruncatedBiSeries.one(order) + TruncatedBiSeries.x(order)
+             + TruncatedBiSeries.y(order) * p.with_order(order).log())
+    return p.with_order(n)
+
+
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
     num = rng.randint(-span, span)
     den = rng.randint(1, span)

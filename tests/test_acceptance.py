@@ -11,16 +11,21 @@ import pytest
 
 from nfsasym.dickman import (
     integral_s_numeric, lambert_w_minus1_at_minus_exp_minus2,
-    p_series_recurrence, p_series_stirling, q_series, q_truncation,
+    p_series, q_series, q_truncation,
     radius_constant, radius_threshold_check, rho_numeric, s_numeric, xy_of,
 )
-from nfsasym.evalkit import g_demo, xi_eval, xi_gap_loglog
+from nfsasym.evalkit import g_demo, xi_eval
 from nfsasym.exact import ExactError, LogConstant
 from nfsasym.nfsopt import guess_terms, prove_existence
 from nfsasym.pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
 
-from conftest import L2, L3, random_logconstant, random_rational, random_series, reference_table
+from conftest import (
+    L2, L3, p_series_recurrence, random_logconstant, random_rational, random_series,
+    reference_table,
+)
 from test_dickman import rho3_trapezoid_oracle
+from test_evalkit import xi_gap_loglog
+from test_pseries import series_exp
 
 F = Fraction
 
@@ -91,8 +96,8 @@ def test_criterion_05_deep_run(cpe8):
     for (dx, dy), coeff in cand.A.terms.items():
         assert type(coeff) is LogConstant
         assert all(i + j <= dy // 2 for i, j in coeff.terms)
-    halves = cpe8.proof_log.half_integer_values()
-    assert halves and all(not b and not d for _, b, d in halves)
+    halves = [s for s in cpe8.proof_log.steps if not s.slot_is_integer]
+    assert halves and all(not s.b_value and not s.d_value for s in halves)
     assert cpe8.proof_log.check_pattern_adjacency()
     assert cpe8.elapsed_seconds < 600.0
     _report(f"5 degree-8 proven run, A = B, ({cpe8.elapsed_seconds:.0f}s < 600s)")
@@ -101,7 +106,7 @@ def test_criterion_05_deep_run(cpe8):
 def test_criterion_06_p_series_cross_validation():
     start = time.monotonic()
     for n in range(13):
-        assert p_series_recurrence(n).series == p_series_stirling(n).series, n
+        assert p_series_recurrence(n) == p_series(n).series, n
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report(f"6 P-series recurrence == Stirling form for n <= 12 ({elapsed:.2f}s)")
@@ -136,7 +141,7 @@ def test_criterion_10_series_vs_numeric_oracles():
     eta = math.exp(20.0)
     x, y = xy_of(eta)
     ratio = s_numeric(eta) / 20.0
-    errs = [abs(ratio - p_series_stirling(n).series.eval_f64(x, y)) for n in range(2, 9)]
+    errs = [abs(ratio - p_series(n).series.eval_f64(x, y)) for n in range(2, 9)]
     assert errs[4] < 5e-6  # n = 6
     assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
     u = math.exp(8.0)
@@ -190,7 +195,7 @@ def test_criterion_12_property_suites():
         terms = dict(random_series(rng, 3, rational_only=True).terms)
         terms[(0, 0)] = LogConstant.one()
         w = TruncatedBiSeries(3, terms)
-        assert w.log().exp() == w
+        assert series_exp(w.log()) == w
     checked = 0
     while checked < 200:  # finite-difference check of the Delta identity
         t = random_series(rng, 4, integer_only=True, rational_only=True)

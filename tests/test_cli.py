@@ -8,11 +8,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from nfsasym import cache as cachemod
 from nfsasym.cache import CacheVerificationError, load_expansion, save_expansion
 from nfsasym.cli import main
+from nfsasym.dickman import rho_numeric
 
 
 @pytest.fixture
@@ -189,6 +191,25 @@ class TestNumericCommands:
         code, out, _ = run(capsys, "rho", "--u", "2", "--method", "dde")
         assert code == 0
         assert "0.30685281944" in out
+
+    def test_rho_below_float_range(self, capsys):
+        # exp(log rho) is 0.0 at u = 500, so rho is printed from its log
+        code, out, _ = run(capsys, "rho", "--u", "500")
+        m = re.fullmatch(r"rho\(500\.0\) = (\S+)e(-\d+)   log = (\S+)\n", out)
+        assert code == 0 and m, out
+        mantissa, k, log_rho = m.groups()
+        assert 1.0 <= float(mantissa) < 10.0
+        got = mpmath.mpf(mantissa) * mpmath.power(10, int(k))
+        want = mpmath.exp(mpmath.mpf(log_rho))
+        assert abs(got / want - 1) < 1e-10
+
+    @pytest.mark.parametrize("u", ["2", "30"])
+    def test_rho_text_in_float_range(self, capsys, u):
+        # where exp(log rho) is a normal float the line is the float's repr
+        value = rho_numeric(float(u))
+        code, out, _ = run(capsys, "rho", "--u", u)
+        assert code == 0
+        assert out == f"rho({float(u)}) = {math.exp(value.log_rho)!r}   log = {value.log_rho!r}\n"
 
     @pytest.mark.parametrize("u", ["nan", "-1"])
     def test_rho_outside_domain(self, capsys, u):

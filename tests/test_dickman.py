@@ -12,12 +12,13 @@ from nfsasym import dickman
 from nfsasym.dickman import (
     DomainError, RangeError,
     cep_series, integral_s_numeric, lambert_w_minus1_at_minus_exp_minus2,
-    log_rho_debruijn, p_series_recurrence, p_series_stirling, q_series,
-    radius_constant, radius_threshold_check, rho_numeric, s_numeric,
-    stirling_first_signed, xy_of,
+    log_rho_debruijn, p_series, q_series,
+    radius_constant, radius_threshold_check, rho_numeric, s_numeric, xy_of,
 )
 from nfsasym.exact import LogConstant
-from nfsasym.pseries import TruncatedBiSeries
+from nfsasym.pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
+
+from conftest import p_series_recurrence
 
 
 def S(order, terms):
@@ -26,43 +27,24 @@ def S(order, terms):
     })
 
 
-class TestStirling:
-    def test_small(self):
-        assert stirling_first_signed(2, 1) == -1
-        assert stirling_first_signed(3, 2) == -3  # x(x-1)(x-2) = x^3 - 3x^2 + 2x
-        assert all(stirling_first_signed(i, i) == 1 for i in range(21))
-        assert stirling_first_signed(4, 7) == 0
-
-    def test_against_falling_factorial_oracle(self):
-        # expand x(x-1)...(x-i+1) by direct polynomial multiplication
-        for i in range(13):
-            poly = [1]  # coefficients, low degree first
-            for m in range(i):
-                shifted = [0] + poly
-                poly = [shifted[k] - m * (poly[k] if k < len(poly) else 0)
-                        for k in range(len(shifted))]
-            for k in range(i + 1):
-                assert stirling_first_signed(i, k) == poly[k], (i, k)
-
-
 class TestPSeries:
     def test_early_iterates(self):
-        assert p_series_recurrence(1).series == S(1, {(0, 0): 1, (2, 0): 1})
-        assert p_series_recurrence(2).series == S(2, {(0, 0): 1, (2, 0): 1, (2, 2): 1})
-        assert p_series_recurrence(3).series == S(3, {
+        assert p_series(1).series == S(1, {(0, 0): 1, (2, 0): 1})
+        assert p_series(2).series == S(2, {(0, 0): 1, (2, 0): 1, (2, 2): 1})
+        assert p_series(3).series == S(3, {
             (0, 0): 1, (2, 0): 1, (2, 2): 1, (4, 2): Fraction(-1, 2), (2, 4): 1,
         })
 
     def test_stirling_form_matches(self):
-        assert p_series_stirling(2).series == p_series_recurrence(2).series
-        assert p_series_stirling(3).series == p_series_recurrence(3).series
+        assert p_series(2).series == p_series_recurrence(2)
+        assert p_series(3).series == p_series_recurrence(3)
 
     def test_equality_through_degree_14(self):
         for n in range(15):
-            assert p_series_recurrence(n).series == p_series_stirling(n).series, n
+            assert p_series_recurrence(n) == p_series(n).series, n
 
     def test_all_coefficients_rational(self):
-        for series in (p_series_recurrence(8).series, q_series(8).series):
+        for series in (p_series(8).series, q_series(8).series):
             assert all(c.is_rational() for c in series.terms.values())
 
 
@@ -85,18 +67,27 @@ class TestQSeries:
         assert cep.coefficient(1, 1) == LogConstant.one()
 
     def test_q_from_either_p_construction(self):
-        # Q is produced from the recurrence-built P; rebuilding it from the
-        # Stirling form must give the identical series
-        from nfsasym.pseries import TruncatedBiSeries as TBS, delta, neumann_inverse_one_plus_delta
-        for n in range(9):
-            p = p_series_stirling(n).series
+        # Q rebuilt from the recurrence oracle's P must be the identical series
+        for n in range(15):
+            p = p_series_recurrence(n)
             dp = delta(p)
             operand = dp - dp.divide_by_y() if not dp.is_zero() else dp
             resolved = neumann_inverse_one_plus_delta(operand)
-            one_ = TBS.one(n)
-            y = TBS.monomial(0, 1, max(n, 1)).truncate(n)
+            one_ = TruncatedBiSeries.one(n)
+            y = TruncatedBiSeries.monomial(0, 1, max(n, 1)).truncate(n)
             q_alt = (one_ - y) * p + resolved.shift(0, 1).truncate(n)
             assert q_alt.with_order(n) == q_series(n).series, n
+
+    def test_built_without_series_log(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("q_series called the series log")
+
+        q_series.cache_clear()
+        monkeypatch.setattr(TruncatedBiSeries, "log", refuse)
+        try:
+            assert q_series(8).series.order == 8
+        finally:
+            q_series.cache_clear()
 
 
 class TestSNumeric:
@@ -112,7 +103,7 @@ class TestSNumeric:
     def test_series_cross_check_e20(self):
         eta = math.exp(20.0)
         x, y = xy_of(eta)
-        p6 = p_series_stirling(6).series.eval_f64(x, y)
+        p6 = p_series(6).series.eval_f64(x, y)
         assert abs(s_numeric(eta) / 20.0 - p6) < 5e-6
 
     def test_error_decreases_with_order(self):
@@ -123,15 +114,15 @@ class TestSNumeric:
             eta = math.exp(e)
             x, y = xy_of(eta)
             ratio = s_numeric(eta) / e
-            errs = [abs(ratio - p_series_stirling(n).series.eval_f64(x, y))
+            errs = [abs(ratio - p_series(n).series.eval_f64(x, y))
                     for n in range(2, 9)]
             for k in range(len(errs) - 1):
                 assert errs[k] > 1.2 * errs[k + 1], (e, errs)
         eta = math.exp(12.0)
         x, y = xy_of(eta)
         ratio = s_numeric(eta) / 12.0
-        err2 = abs(ratio - p_series_stirling(2).series.eval_f64(x, y))
-        err8 = abs(ratio - p_series_stirling(8).series.eval_f64(x, y))
+        err2 = abs(ratio - p_series(2).series.eval_f64(x, y))
+        err8 = abs(ratio - p_series(8).series.eval_f64(x, y))
         assert err8 < err2 / 1000.0
 
     def test_domain(self):
@@ -390,15 +381,19 @@ class TestDeBruijn:
         dde = rho_numeric(30.0).log_rho
         assert abs(log_rho_debruijn(30.0, 6).log_rho_series - dde) > 1.0
 
+    @staticmethod
+    def q_value(u, order):
+        return -log_rho_debruijn(u, order).log_rho_series / (u * math.log(u))
+
     def test_convergence_at_e8(self):
         u = math.exp(8.0)
-        q5 = log_rho_debruijn(u, 5).q_value
-        q6 = log_rho_debruijn(u, 6).q_value
+        q5 = self.q_value(u, 5)
+        q6 = self.q_value(u, 6)
         assert abs(q5 - q6) / abs(q6) < 1e-3
 
     def test_spread_at_e4(self):
         u = math.exp(4.0)
-        values = [log_rho_debruijn(u, n).q_value for n in range(1, 7)]
+        values = [self.q_value(u, n) for n in range(1, 7)]
         assert max(values) - min(values) > 1e-2
 
     def test_domain(self):

@@ -289,8 +289,8 @@ class TestProveMinimality:
                 assert step.b_value == cand.A.coefficient(i, j), step.slot
 
     def test_half_integer_slots_zero(self):
-        halves = guess_terms(1).guess_log.half_integer_values()
-        assert halves and all(not b and not d for _, b, d in halves)
+        halves = [s for s in guess_terms(1).guess_log.steps if not s.slot_is_integer]
+        assert halves and all(not s.b_value and not s.d_value for s in halves)
 
 
 class TestSolveTarget:
