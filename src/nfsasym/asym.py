@@ -129,13 +129,16 @@ def asym_mul(f: ScaledAsymptotic, g: ScaledAsymptotic) -> ScaledAsymptotic:
     )
 
 
-def asym_div(f: ScaledAsymptotic, g: ScaledAsymptotic) -> ScaledAsymptotic:
+def asym_inv(g: ScaledAsymptotic) -> ScaledAsymptotic:
     if g.is_zero():
         raise AsymError("division by a zero asymptotic element")
     return ScaledAsymptotic(
-        f.scale / g.scale, f.nu_exp - g.nu_exp, f.lognu_exp - g.lognu_exp,
-        f.series * g.series.inverse(),
+        RadicalScale.one() / g.scale, -g.nu_exp, -g.lognu_exp, g.series.inverse(),
     )
+
+
+def asym_div(f: ScaledAsymptotic, g: ScaledAsymptotic) -> ScaledAsymptotic:
+    return asym_mul(f, asym_inv(g))
 
 
 def asym_add(
@@ -196,10 +199,10 @@ def _xy_series(f: ScaledAsymptotic):
     if f.nu_exp <= 0:
         raise AsymError(f"X(f), Y(f) expansion needs nu exponent > 0, got {f.nu_exp}")
     g = _log_series(f)
-    g_inv = g.inverse()
+    g_inv, g_log = g.inverse_and_log()
     order = Fraction(g.order2, 2)
     ys = g_inv.shift(0, 1).truncate(order)
-    xs = (TruncatedBiSeries.x(order) + g.log().shift(0, 1).truncate(order)) * g_inv
+    xs = (TruncatedBiSeries.x(order) + g_log.shift(0, 1).truncate(order)) * g_inv
     return xs, ys, g
 
 

@@ -229,6 +229,9 @@ def _cmd_figure(args) -> int:
 def _cmd_keysize(args) -> int:
     if not (math.inf > args.to_bits > args.from_bits > 1):
         raise UsageError("need finite to-bits > from-bits > 1")
+    if not args.from_bits * math.log(2.0) > math.exp(math.e):
+        raise UsageError(f"need from-bits > e^e / log 2 = {math.exp(math.e) / math.log(2.0):.2f},"
+                         f" got {args.from_bits:g}")
     if args.degree < 0:
         raise UsageError("--degree must be >= 0")
     if args.degree > 0:

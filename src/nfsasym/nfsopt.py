@@ -15,10 +15,13 @@ with A(0,0) = B(0,0) = D(0,0) = 1, and the constraint
 
 is expanded with the smoothness map p of the asym module, its series Q
 truncated at the expansion's own order, then divided by the scale of a.
-The trial series hold the known coefficients as plain LogConstant values
-and each unknown as an UnknownPoly; the series engine mixes the two, and
-each coefficient of the resulting series is an exact polynomial (of degree
-<= 2) in the currently unknown coefficients.
+With unknown coefficients attached, each coefficient of the expansion is an
+exact polynomial (of degree <= 2) in them, an UnknownPoly.  No series is
+built over the unknowns: the expansion is the plain build over the known
+coefficients plus the first and second derivatives of the constraint in A,
+B and D, taken from one build over second-order jets at about half the
+order, times the unknowns (Taylor's formula, exact at the order because
+every unknown has degree at least half of it; see _expand_layer).
 
 Solving schedule.  A's monomials are targeted one at a time in graded-lex
 order (X before Y), one degree layer after the other.  The constraint is
@@ -67,7 +70,8 @@ grading that every operation of the expansion respects); and the one at
 X^(n+2), which an expansion modulo Y (every Y-carrying term dropped, a ring
 homomorphism) gives exactly at a fraction of the cost.  So a proof makes
 n+1 layer expansions and one expansion in X alone, none above order n+1 in
-both variables.  Every step of a layer shares the layer's absorption audit.
+both variables, each a plain build and a jet build.  Every step of a layer
+shares the layer's absorption audit.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .asym import (
-    FoldEvent, ScaledAsymptotic, asym_add, asym_div, asym_mul, asym_neg, asym_scalar_mul,
-    nu_element, p_of, scale_a, scale_d,
+    FoldEvent, ScaledAsymptotic, asym_add, asym_div, asym_inv, asym_mul, asym_neg,
+    asym_scalar_mul, nu_element, p_of, scale_a, scale_d,
 )
 from .dickman import q_truncation
 from .exact import LogConstant, scale_ratio_as_rational
@@ -142,6 +146,17 @@ Symbol = tuple  # ("a", dx, dy) | ("b", dx, dy) | ("d", dx, dy)
 UMono = tuple   # sorted tuple of symbols, one per factor: (), (s,) or (s, t)
 
 
+def _mono_product(m1: UMono, m2: UMono) -> Optional[UMono]:
+    # the product of two unknown monomials, None past degree 2
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if len(m1) + len(m2) > 2:
+        return None
+    return m1 + m2 if m1 <= m2 else m2 + m1
+
+
 class UnknownPoly:
     """Polynomial in the current unknowns over LogConstant, degree <= 2.
 
@@ -168,14 +183,11 @@ class UnknownPoly:
     def mono_mul(m1: UMono, m2: UMono) -> UMono:
         """The product of two unknown monomials; past degree 2 it raises
         UnknownShapeError (the series product calls this too)."""
-        if not m1:
-            return m2
-        if not m2:
-            return m1
-        if len(m1) + len(m2) > 2:
+        m = _mono_product(m1, m2)
+        if m is None:
             raise UnknownShapeError(
                 "constraint expansion produced unknown degree > 2: " + _umono_str(m1 + m2, "^1"))
-        return m1 + m2 if m1 <= m2 else m2 + m1
+        return m
 
     @staticmethod
     def from_logconst(c: LogConstant) -> "UnknownPoly":
@@ -209,12 +221,12 @@ class UnknownPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return UnknownPoly._make(out)
+        return self._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UnknownPoly._make({m: -c for m, c in self.terms.items()})
+        return self._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -232,7 +244,9 @@ class UnknownPoly:
         out: dict[UMono, LogConstant] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = UnknownPoly.mono_mul(m1, m2)
+                m = self.mono_mul(m1, m2)
+                if m is None:
+                    continue
                 c = c1 * c2
                 s = out.get(m)
                 s = c if s is None else s + c
@@ -240,7 +254,7 @@ class UnknownPoly:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return UnknownPoly._make(out)
+        return self._make(out)
 
     __rmul__ = __mul__
 
@@ -253,6 +267,9 @@ class UnknownPoly:
         return all(self.terms[m] == other.terms[m] for m in self.terms)
 
     def __hash__(self):
+        # a constant poly equals its constant, so it hashes as that constant
+        if self.is_constant():
+            return hash(self.constant())
         return hash(frozenset(self.terms))
 
     def is_constant(self) -> bool:
@@ -304,7 +321,7 @@ class UnknownPoly:
         return UnknownPoly({(): self.constant().inverse()})
 
     def __repr__(self):
-        return f"UnknownPoly({self})"
+        return f"{type(self).__name__}({self})"
 
     def __str__(self):
         if not self.terms:
@@ -326,6 +343,32 @@ def _umono_str(m: UMono, first_power: str = "") -> str:
 def _symbol_name(sym: Symbol) -> str:
     kind, dx, dy = sym
     return f"{kind}[{Fraction(dx, 2)},{Fraction(dy, 2)}]"
+
+
+class Jet(UnknownPoly):
+    """A second-order jet: a value over LogConstant plus its parts in the
+    perturbations "a", "b" and "d" of A, B and D, three first-order and six
+    second-order, under the UnknownPoly monomial convention.
+
+    A product drops its third-order parts instead of raising: jets compute
+    in the quotient of the coefficient ring by the cubes of the
+    perturbations, a ring homomorphism, so every part they keep is exact.
+    Nothing _expand_layer needs is lost with them: the Taylor terms of order
+    three in the unknowns lie beyond the order of the expansion, because
+    every unknown has degree >= order/2 (the slot unknowns of layer k have
+    degree k/2, every other unknown degree k).
+    """
+
+    __slots__ = ()
+
+    # the product of two perturbation monomials, None past order 2
+    mono_mul = staticmethod(_mono_product)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c})" + "".join(f"*e{kind}" for kind in m)
+                          for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +467,9 @@ def build_constraint(
     nu = nu_element(order)
 
     nu_over_d = asym_div(nu, d)
-    u0 = asym_div(asym_add(a, nu_over_d, audit), b)
-    u1 = asym_div(asym_add(asym_mul(d, a), nu_over_d, audit), b)
+    b_inv = asym_inv(b)
+    u0 = asym_mul(asym_add(a, nu_over_d, audit), b_inv)
+    u1 = asym_mul(asym_add(asym_mul(d, a), nu_over_d, audit), b_inv)
 
     total = asym_add(p_of(u0, n, q), p_of(u1, n, q), audit)
     total = asym_add(total, asym_scalar_mul(a, 2), audit)
@@ -552,27 +596,112 @@ def _known_values(k: int, A: dict, D: dict, free: tuple) -> dict[Symbol, LogCons
             for sym in _layer_symbols(k) if sym not in free}
 
 
+# the jets perturb A, B and D by eps * X^(1/2), a monomial of positive
+# degree, so every constant term of the jet build is the plain one
+_EPS = (1, 0)
+
+
+def _trials(terms: dict, order, y_max) -> list[TruncatedBiSeries]:
+    # the trial series of A, B and D at `order`, modulo Y^(> y_max) if given
+    trials = [TruncatedBiSeries(order, terms[kind]) for kind in "abd"]
+    return trials if y_max is None else [t.y_bounded(y_max) for t in trials]
+
+
 def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
                   y_max=None) -> tuple[TruncatedBiSeries, list]:
     """Expand the constraint once at `order` over the known A and D
     coefficients, B being A's a = b copy, with `symbols` attached on top;
     modulo every term of Y exponent above `y_max` when it is given.
 
-    Returns the series, every coefficient an UnknownPoly, and its
-    absorption audit.
+    Returns the series, every coefficient an UnknownPoly, and the
+    absorption audit of the build.
+
+    No series is built over the unknowns.  Write the trial as P0 + dP, P0
+    the known coefficients and dP each attached unknown less its value in
+    P0.  Every operation of build_constraint is a ring operation or an
+    analytic map of the series ring (products, inverse, log, composition
+    with Q, shifts), so Taylor's formula holds there:
+
+        F(P0 + dP) = F0 + F_A dA + F_B dB + F_D dD + sum_{k<=l} c_kl dk dl + ...
+
+    with F0 the plain build, c_kk = F_kk / 2 and c_kl = F_kl.  Every
+    unknown has degree >= order/2 (checked), so at `order` the terms of
+    order three in dP vanish, c_kl is needed at degree 0 only, and F_A,
+    F_B, F_D through order minus the lowest unknown degree.  They come from
+    one build over Jet coefficients, A, B and D perturbed by eps_A, eps_B,
+    eps_D times X^(1/2): its eps_k part is F_k X^(1/2) and its eps_k eps_l
+    part c_kl X.  The formula is exact, so the series is the one the build
+    with the unknowns attached as coefficients would give.
     """
-    terms = {"a": dict(A), "b": dict(A), "d": dict(D)}
-    for sym in symbols:
-        terms[sym[0]][sym[1:]] = UnknownPoly.from_symbol(sym)
-    trials = [TruncatedBiSeries(order, terms[kind]) for kind in "abd"]
-    if y_max is not None:
-        trials = [t.y_bounded(y_max) for t in trials]
+    base = {"a": A, "b": A, "d": D}
     audit: list = []
-    series = build_constraint(*trials, order, audit=audit)
-    # coefficients no unknown reached come out as plain LogConstant values
-    polys = {e: c if isinstance(c, UnknownPoly) else UnknownPoly.from_logconst(c)
-             for e, c in series.terms.items()}
-    return TruncatedBiSeries._make(series.order2, polys, series.ymax2), audit
+    f0 = build_constraint(*_trials(base, order, y_max), order, audit=audit)
+    out = {e: {(): c} for e, c in f0.terms.items()}
+    if symbols:
+        _add_derivative_terms(out, base, symbols, f0.order2, y_max)
+    polys = {}
+    for e, coeffs in out.items():
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        if coeffs:
+            polys[e] = UnknownPoly._make(coeffs)
+    return TruncatedBiSeries._make(f0.order2, polys, f0.ymax2), audit
+
+
+def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: int,
+                          y_max) -> None:
+    """Add the Taylor terms of first and second order in `symbols` to `out`,
+    {exponent: {unknown monomial: LogConstant}}, through doubled order2."""
+    deltas: dict[str, list] = {kind: [] for kind in "abd"}  # (exponent, symbol, value in P0)
+    for sym in symbols:
+        deltas[sym[0]].append((sym[1:], sym, base[sym[0]].get(sym[1:], LogConstant.zero())))
+    low2 = min(e[0] + e[1] for e, _, _ in deltas["a"] + deltas["b"] + deltas["d"])
+    if not low2 or 2 * low2 < order2:
+        raise UnknownShapeError(
+            f"an unknown of degree {Fraction(low2, 2)} < order/2 = {Fraction(order2, 4)}")
+
+    jet_order2 = order2 - low2 + 1
+    jets = {}
+    for kind in "abd":
+        terms = jets[kind] = {e: c for e, c in base[kind].items() if e[0] + e[1] <= jet_order2}
+        terms[_EPS] = Jet({(): terms.get(_EPS, LogConstant.zero()), (kind,): LogConstant.one()})
+    jet_order = Fraction(jet_order2, 2)
+    first: dict[str, dict] = {kind: {} for kind in "abd"}  # F_k
+    second: dict[UMono, LogConstant] = {}                   # c_kl at degree 0
+    for e, c in build_constraint(*_trials(jets, jet_order, y_max), jet_order).terms.items():
+        if isinstance(c, Jet):
+            for m, v in c.terms.items():
+                if len(m) == 1:
+                    first[m[0]][(e[0] - _EPS[0], e[1])] = v
+                elif m and e == (2 * _EPS[0], 0):
+                    second[m] = v
+
+    def put(e, m, c):
+        coeffs = out.setdefault(e, {})
+        coeffs[m] = coeffs[m] + c if m in coeffs else c
+
+    for kind, entries in deltas.items():
+        for (sx, sy), sym, value in entries:
+            room = order2 - sx - sy
+            for (fx, fy), c in first[kind].items():
+                if fx + fy <= room:
+                    e = (fx + sx, fy + sy)
+                    put(e, (sym,), c)
+                    if value:
+                        put(e, (), -(c * value))
+    # c_kl dk dl, summed over every ordered pair of a term of dk and one of dl
+    for (k, l), c in second.items():
+        for e1, s1, v1 in deltas[k]:
+            for e2, s2, v2 in deltas[l]:
+                if e1[0] + e1[1] + e2[0] + e2[1] > order2:
+                    continue
+                e = (e1[0] + e2[0], e1[1] + e2[1])
+                put(e, _mono_product((s1,), (s2,)), c)
+                if v2:
+                    put(e, (s1,), -(c * v2))
+                if v1:
+                    put(e, (s2,), -(c * v1))
+                    if v2:
+                        put(e, (), c * v1 * v2)
 
 
 def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,

@@ -32,9 +32,10 @@ series needs from them:
 The constants the engine creates (one, rational scalars, log of a constant
 term) are always LogConstant, elements of Q[log 2, log 3], so a coefficient
 type must accept LogConstant operands on either side.  The
-unknown-coefficient polynomials of the optimization layer do, which lets
-one series mix them with plain constants; they implement the arithmetic and
-inverse() only, which is all the constraint expansion asks of them.
+unknown-coefficient polynomials and the second-order jets of the
+optimization layer do, which lets one series mix them with plain
+constants; they implement the arithmetic and inverse() only, which is all
+the constraint expansion asks of them.
 
 The series product is a Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): it packs
@@ -48,7 +49,8 @@ coefficient type must be a polynomial over LogConstant in unknown monomials:
 * `terms`, its map {unknown monomial: nonzero LogConstant}, with () the
   monomial 1;
 * `mono_mul(m1, m2)`, callable on the type, the product of two monomials
-  other than (); it may raise to refuse a shape, and is called for every
+  other than (); it may raise to refuse a shape, or return None to drop the
+  product (the jets drop their third-order parts), and is called for every
   such pair of monomials of every pair of terms within the order;
 * `_make(terms)`, callable on the type, the value with a given map of
   nonzero LogConstant.
@@ -288,7 +290,8 @@ class TruncatedBiSeries:
                 for ma, va in packed_a.items():
                     for mb, vb in packed_b.items():
                         m = kind.mono_mul(ma, mb) if ma and mb else ma or mb
-                        out[m] = out.get(m, 0) + va * vb
+                        if m is not None:
+                            out[m] = out.get(m, 0) + va * vb
         den = den_a * den_b
         terms: dict[ExpPair, object] = {}
         for e, out in acc.items():
@@ -340,38 +343,51 @@ class TruncatedBiSeries:
     # -- transcendental operations ---------------------------------------------
 
     def inverse(self) -> "TruncatedBiSeries":
-        c = self.constant_term()
-        if not c:
-            raise SingularSeriesError("inverse of a series with zero constant term")
-        c_inv = c.inverse()
-        u = self.scale(c_inv) - self._one_like()
-        # geometric series in -u, finite because u has positive valuation
-        neg_u = -u
-        acc = self._one_like()
-        power = acc
-        while True:
-            power = power * neg_u
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc.scale(c_inv)
+        return self._inverse_from(*self._unit_powers("inverse"))
 
     def log(self) -> "TruncatedBiSeries":
         """log of the series; the constant term must have an exact positive log."""
+        return self._log_from(*self._unit_powers("log"))
+
+    def inverse_and_log(self) -> tuple["TruncatedBiSeries", "TruncatedBiSeries"]:
+        """(inverse(), log()) from one run of the powers both sum."""
+        c, powers = self._unit_powers("log")
+        return self._inverse_from(c, powers), self._log_from(c, powers)
+
+    def _unit_powers(self, op: str) -> tuple:
+        """(c, [u, u^2, ...]) with c the constant term and u = self/c - 1, up
+        to the last nonzero power; finite because u has positive valuation.
+        The constant term must be a unit, and for op == "log" it must have
+        an exact log."""
         c = self.constant_term()
         if not c:
-            raise SingularSeriesError("log of a series with zero constant term")
-        log_c = _log_of_constant(c)
+            raise SingularSeriesError(f"{op} of a series with zero constant term")
+        if op == "log":
+            _log_of_constant(c)
         u = self.scale(c.inverse()) - self._one_like()
-        acc = TruncatedBiSeries._make(self.order2, {(0, 0): log_c} if log_c else {}, self.ymax2)
-        power = self._one_like()
-        k = 0
-        while True:
-            k += 1
-            power = power * u
+        powers = [u] if u.terms else []
+        # u^k has valuation >= k * low, so it vanishes once that passes the order
+        low = min((e[0] + e[1] for e in u.terms), default=0)
+        while powers and (len(powers) + 1) * low <= u.order2:
+            power = powers[-1] * u
             if power.is_zero():
                 break
-            acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
+            powers.append(power)
+        return c, powers
+
+    def _inverse_from(self, c, powers: list) -> "TruncatedBiSeries":
+        # 1/(c (1 + u)) = c^-1 sum (-u)^k
+        acc = self._one_like()
+        for k, power in enumerate(powers, 1):
+            acc = acc - power if k % 2 else acc + power
+        return acc.scale(c.inverse())
+
+    def _log_from(self, c, powers: list) -> "TruncatedBiSeries":
+        # log(c (1 + u)) = log c + sum (-1)^(k+1) u^k / k
+        log_c = _log_of_constant(c)
+        acc = TruncatedBiSeries._make(self.order2, {(0, 0): log_c} if log_c else {}, self.ymax2)
+        for k, power in enumerate(powers, 1):
+            acc = acc + power.scale(Fraction(1 if k % 2 else -1, k))
         return acc
 
     def compose(self, xs: "TruncatedBiSeries", ys: "TruncatedBiSeries") -> "TruncatedBiSeries":

@@ -223,7 +223,12 @@ class TestNumericCommands:
          "xi evaluation needs finite loglog nu > 1, got inf"),
         (("keysize", "--from-bits", "512", "--to-bits", "inf", "--degree", "1"),
          "usage error: need finite to-bits > from-bits > 1"),
-    ], ids=["rho-series", "xi-nu", "xi-loglogN", "keysize-to-bits"])
+        (("keysize", "--from-bits", "2", "--to-bits", "3", "--degree", "1"),
+         "usage error: need from-bits > e^e / log 2 = 21.86, got 2"),
+        (("keysize", "--from-bits", "2", "--to-bits", "3", "--degree", "0"),
+         "usage error: need from-bits > e^e / log 2 = 21.86, got 2"),
+    ], ids=["rho-series", "xi-nu", "xi-loglogN", "keysize-to-bits", "keysize-from-bits",
+            "keysize-from-bits-degree-0"])
     def test_non_finite_input_rejected(self, capsys, cache_env, cpe2, argv, message):
         save_expansion(cpe2)
         code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 from fractions import Fraction
 
@@ -19,6 +20,48 @@ from nfsasym.pseries import TruncatedBiSeries
 from conftest import L2, L3, reference_table
 
 F = Fraction
+
+
+def reference_layer(A, D, symbols, order, y_max=None):
+    """The oracle for nfsopt._expand_layer: the constraint built once with
+    every unknown attached as an UnknownPoly coefficient of the trial, so
+    each product of the build carries the unknowns (and a cubic term in
+    them would raise)."""
+    terms = {"a": dict(A), "b": dict(A), "d": dict(D)}
+    for sym in symbols:
+        terms[sym[0]][sym[1:]] = UnknownPoly.from_symbol(sym)
+    trials = [TruncatedBiSeries(order, terms[kind]) for kind in "abd"]
+    if y_max is not None:
+        trials = [t.y_bounded(y_max) for t in trials]
+    audit = []
+    series = build_constraint(*trials, order, audit=audit)
+    # coefficients no unknown reached come out as plain LogConstant values
+    polys = {e: c if isinstance(c, UnknownPoly) else UnknownPoly.from_logconst(c)
+             for e, c in series.terms.items()}
+    return TruncatedBiSeries._make(series.order2, polys, series.ymax2), audit
+
+
+def prove_against_reference(monkeypatch, n):
+    """compute_proven_expansion(n) with every layer build checked against
+    reference_layer, audit included; returns the result and the
+    (order, y_max) of each checked build.  The check stays installed."""
+    expand = nfsopt._expand_layer
+    checked = []
+
+    def checking(A, D, symbols, order, y_max=None):
+        got = expand(A, D, symbols, order, y_max)
+        assert got == reference_layer(A, D, symbols, order, y_max), (order, y_max)
+        checked.append((order, y_max))
+        return got
+
+    monkeypatch.setattr(nfsopt, "_expand_layer", checking)
+    result = compute_proven_expansion(n)
+    assert result.ok, result.failure
+    return result, checked
+
+
+deep = pytest.mark.skipif(os.environ.get("NFSASY_DEEP") != "1",
+                          reason="deep proof: set NFSASY_DEEP=1")
 
 
 def _proof_digest(result) -> str:
@@ -65,6 +108,16 @@ class TestUnknownPoly:
             "((-5)) + ((1))*a[1,0] + ((3))*b[1/2,0]^2 + ((1))*d[1/2,0]^2"
             " + ((3))*a[1,0]*b[1/2,0] + ((-1))*b[1/2,0]*d[1/2,0]"
         )
+
+    def test_constant_hashes_as_its_constant(self):
+        # eq and hash agree: a constant poly, its LogConstant and the number
+        one = LogConstant.one()
+        assert UnknownPoly.from_logconst(one) == 1
+        assert len({UnknownPoly.from_logconst(one), one, 1}) == 1
+        half = LogConstant.from_fraction(F(1, 2))
+        assert len({UnknownPoly.from_logconst(half), half, F(1, 2)}) == 1
+        assert len({UnknownPoly({}), LogConstant.zero(), 0}) == 1
+        assert len({UnknownPoly.from_logconst(L2), L2}) == 1
 
     def test_nonconstant_inverse_rejected(self):
         with pytest.raises(UnknownShapeError):
@@ -129,6 +182,21 @@ class TestLayerExpansion:
             assert poly.is_constant()
             got[e] = poly.constant()
         assert TruncatedBiSeries(k, got) == want
+
+    def test_layers_match_reference(self, monkeypatch):
+        # every layer of n = 6 (1..7) and its X-only existence build, then
+        # the existence builds of n = 2..5 over the same candidate
+        result, checked = prove_against_reference(monkeypatch, 6)
+        assert checked == [(k, None) for k in range(1, 8)] + [(8, 0)]
+        for n in range(2, 6):
+            assert prove_existence(n, result.candidate) == result.certificates[n - 1]
+        assert checked[8:] == [b for n in range(2, 6) for b in ((n + 2, 0), (n + 1, None))]
+
+    def test_unknown_below_half_order_rejected(self):
+        # the jet assembly is exact only for unknowns of degree >= order/2
+        with pytest.raises(UnknownShapeError, match="order/2"):
+            nfsopt._expand_layer({(0, 0): LogConstant.one()}, {(0, 0): LogConstant.one()},
+                                 [("b", 1, 0)], 2)
 
 
 class TestGuessTerms:
@@ -208,7 +276,8 @@ class TestProveExistence:
         # coefficient, "half" gives D a term X^(1/2).  The records were taken
         # when every certificate read one order-(k+2) bivariate build; a
         # half-integer trial still takes that build, the others an
-        # order-(k+1) build and the order-(k+2) build modulo Y.
+        # order-(k+1) build and the order-(k+2) build modulo Y.  The tail
+        # unknown sits at the order itself, so its jet build is at order 1/2.
         monomial = {"low": (1, 1), "x": (k + 1, 0), "half": (1, 0)}[kind]
         detail = "((-1/2))" if kind == "half" else "((3/2))"
         cand = guess_terms(3)
@@ -238,7 +307,8 @@ class TestProveExistence:
             "existence", k, tuple(map(F, monomial)), detail)
         assert record.message == ("nonvanishing coefficient below the dominant monomial"
                                   " (candidate does not satisfy the constraint)")
-        assert set(builds) == ({(k + 2, None)} if kind == "half" else {(k + 1, None), (k + 2, 0)})
+        assert set(builds) == ({(k + 2, None), (F(1, 2), None)} if kind == "half"
+                               else {(k + 1, None), (k + 2, 0), (F(1, 2), 0)})
 
     def test_half_integer_gap_takes_full_build(self, monkeypatch):
         # the constraint folds at integer gaps only; a build reporting a
@@ -248,14 +318,15 @@ class TestProveExistence:
 
         def half_gap(A, B, D, order, audit=None, **kwargs):
             builds.append((order, A.ymax2))
-            audit.append(FoldEvent(F(1, 2)))
+            if audit is not None:  # the jet builds keep no audit
+                audit.append(FoldEvent(F(1, 2)))
             return build(A, B, D, order, audit=audit, **kwargs)
 
         cand = guess_terms(2)
         want = prove_existence(1, cand)
         monkeypatch.setattr(nfsopt, "build_constraint", half_gap)
         assert prove_existence(1, cand) == want
-        assert builds == [(3, 0), (3, None)]
+        assert builds == [(3, 0), (F(1, 2), 0), (3, None), (F(1, 2), None)]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_x_only_expansion_matches_full(self, n):
@@ -390,7 +461,10 @@ class TestComputeProvenExpansion:
         # degree 1 reads layer 3 and at degree 2 layer 3 as well, and a
         # per-target expansion, a replayed schedule, a degree-4 layer, a
         # separate degree-1 certificate build or a bivariate degree-2 one
-        # would add more
+        # would add more.  Each of the four is a plain build followed by
+        # its jet build, at order k/2 + 1/2 for layer k (the slot unknowns
+        # have degree k/2) and at 1/2 for the existence build (its tail
+        # unknown has degree 4)
         calls = []
         build = nfsopt.build_constraint
 
@@ -400,8 +474,9 @@ class TestComputeProvenExpansion:
 
         monkeypatch.setattr(nfsopt, "build_constraint", counting)
         assert compute_proven_expansion(2).ok
-        assert len(calls) == 4
-        assert calls == [(1, None), (2, None), (3, None), (4, 0)]
+        assert len(calls) == 8
+        assert calls == [(1, None), (1, None), (2, None), (F(3, 2), None),
+                         (3, None), (2, None), (4, 0), (F(1, 2), 0)]
 
     # Golden digests of _proof_digest, recorded with the schedule that
     # expanded the constraint once per target (before the per-layer
@@ -416,6 +491,24 @@ class TestComputeProvenExpansion:
 
     def test_degree_8_golden_digest(self, cpe8):
         assert _proof_digest(cpe8) == (
+            "2f9573164c2c551bfe9114ee1093c205ac4d9a06b755aeb7c6b4f39640c0e4d0")
+
+    # Recorded with the symbol-attached layer builds (the reference_layer
+    # oracle), before the jet assembly replaced them.
+    @pytest.mark.deep
+    @deep
+    def test_degree_10_golden_digest(self):
+        result = compute_proven_expansion(10)
+        assert result.ok, result.failure
+        assert _proof_digest(result) == (
+            "cfcd45d88432d25a3987dd9311e8e93204848f28b88ad977d43ca8901677e8de")
+
+    @pytest.mark.deep
+    @deep
+    def test_degree_8_layers_match_reference(self, monkeypatch):
+        result, checked = prove_against_reference(monkeypatch, 8)
+        assert checked == [(k, None) for k in range(1, 10)] + [(10, 0)]
+        assert _proof_digest(result) == (
             "2f9573164c2c551bfe9114ee1093c205ac4d9a06b755aeb7c6b4f39640c0e4d0")
 
     def test_proof_log_matches_minimality_replay(self, cpe2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nfsasym.exact import LogConstant
-from nfsasym.nfsopt import UnknownPoly, UnknownShapeError
+from nfsasym.nfsopt import Jet, UnknownPoly, UnknownShapeError
 from nfsasym.pseries import (
     SeriesError, SingularSeriesError, TruncatedBiSeries,
     delta, neumann_inverse_one_plus_delta,
@@ -169,6 +169,31 @@ class TestPackedProduct:
                 continue
             assert_same_product(p, q)
         assert 0 < raised < 150
+
+    def test_jet_operands(self):
+        # Jet coefficients, alone and beside LogConstant ones: the packed
+        # product keeps what the jets' own product keeps, the parts of order
+        # <= 2 in the perturbations, and drops the third-order ones
+        rng = random.Random(1981)
+        parts = [()] + [(k,) for k in "abd"] + [(k, m) for k in "abd" for m in "abd" if k <= m]
+
+        def operand(order2):
+            terms = {}
+            for dx in range(order2 + 1):
+                for dy in range(order2 + 1 - dx):
+                    if rng.random() < 0.4:
+                        terms[(dx, dy)] = (
+                            Jet({m: random_logconstant(rng) for m in rng.sample(parts, rng.randint(1, 7))})
+                            if rng.random() < 0.7 else random_logconstant(rng))
+            return TruncatedBiSeries._make(order2, terms)
+
+        for _ in range(60):
+            assert_same_product(operand(rng.randint(0, 6)), operand(rng.randint(0, 6)))
+        s, t = Jet({("a",): LogConstant.one()}), Jet({("a", "b"): LogConstant.one()})
+        assert str(s + t * 2 - 1) == "((-1)) + ((1))*ea + ((2))*ea*eb"
+        assert not s * t
+        p = TruncatedBiSeries(2, {(2, 0): s})
+        assert p * TruncatedBiSeries(2, {(0, 0): LogConstant.one(), (2, 0): t}) == p
 
     def test_empty_operands(self):
         rng = random.Random(5)
