@@ -70,9 +70,9 @@ def _proof_summary(log: ProofLog) -> list[dict]:
 
 
 def save_expansion(result: ExpansionResult) -> Path:
+    """Write the proven expansion atomically; CacheError if it cannot be written."""
     cand = result.candidate
     path = cache_path(cand.degA)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "engine": ENGINE_VERSION,
         "degree": cand.degA,
@@ -87,10 +87,14 @@ def save_expansion(result: ExpansionResult) -> Path:
     }
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # outside the cache glob
     try:
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(json.dumps(payload, indent=1))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise CacheError(f"cannot write expansion cache {path}: {exc}") from exc
     return path
 
 

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Commands: expand, rho, radius, xi, figure, keysize.  Exit codes: 0 success,
-2 algorithm failure (the partial result is still written), 1 usage or
-internal error.  The expansion cache lives under NFSASY_CACHE_DIR (or
+2 algorithm failure (the partial result is still written), 1 usage, input,
+write or internal error.  The expansion cache lives under NFSASY_CACHE_DIR (or
 ~/.cache/nfsasym); xi, keysize and figure read the smallest cached degree
 they can use, re-verify that file, and skip any file that fails.
 """
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (cachemod.CacheError, evalkit.EvalError, ValueError) as exc:
+    except (cachemod.CacheError, evalkit.EvalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,13 +11,13 @@ d(eta) expands as Q(X, Y) with
 
 so neither series needs a series log.
 
-rho is evaluated two ways: a per-unit-interval spectral collocation of the
-delay equation u*rho'(u) = -rho(u-1) carrying log(rho), one linear solve per
-interval, and the asymptotic form log(rho(u)) ~ -u*log(u)*Q(X(u), Y(u)) which
-only converges for large u.  The integral of s has the closed form
-integral_1^u s d(eta) = u*s - Ei(s) + log(s) + gamma with s = s(u), so the de
-Bruijn evaluators are pure Python.  numpy loads on the first rho_numeric
-call, and only there.
+rho is evaluated two ways: a power series of the delay equation
+u*rho'(u) = -rho(u-1) about the right end of each unit interval, with
+non-negative coefficients and log(rho) carried as offsets (van de Lune and
+Wattel 1969; Marsaglia, Zaman and Marsaglia 1989), and the asymptotic form
+log(rho(u)) ~ -u*log(u)*Q(X(u), Y(u)) which only converges for large u.  The
+integral of s has the closed form integral_1^u s d(eta) = u*s - Ei(s) +
+log(s) + gamma with s = s(u).  Everything here is pure Python.
 """
 
 from __future__ import annotations
@@ -268,87 +268,80 @@ def _integral_s_one_to_e() -> float:
 
 
 class _RhoTable:
-    """Collocation table for rho on [1, u_max].
+    """Power-series table for rho on [1, u_max].
 
-    The delay equation u*rho'(u) = -rho(u-1) is integrated once into the
-    equivalent self-referential form
+    On [k, k+1] the table holds rho(k+1-t) = rho(k) * sum_i c_i t^i for t in
+    [0, 1], a power series about the interval's right end.  With b the
+    previous interval's coefficients over rho(k) (b = [1] on [0, 1]), the
+    delay equation u*rho'(u) = -rho(u-1) reads (k+1-t) f'(t) = g(t) for
+    f = sum c_i t^i and g = sum b_i t^i, so
 
-        u * rho(u) = integral_{u-1}^{u} rho(t) dt,
+        c_{i+1} = (b_i + i*c_i) / ((k+1)(i+1)),
 
-    which is numerically stable: values on the right are of the same size as
-    the value computed, so relative error is preserved instead of being
-    amplified by rho(u-1)/rho(u) at every step (that amplification is what
-    wrecks naive forward steppers).  Per unit interval [k, k+1] the ratio
-    q(u) = rho(u)/rho(k) is the degree-d polynomial whose values v at the
-    d+1 Chebyshev points u_i of the interval satisfy the linear system
+    and the integral form u*rho(u) = integral_{u-1}^{u} rho(t) dt at
+    u = k+1 reads (k+1)*c_0 = sum_i c_i/(i+1), that is
 
-        (diag(u_i) - J) v = r_k,   r_k = (w.v_prev - J v_prev) / (e.v_prev),
+        c_0 = rho(k+1)/rho(k) = (sum_{i>=1} c_i/(i+1)) / k.
 
-    where J maps node values to the node values of int_k^u, w integrates over
-    the whole interval, e evaluates at its right end, and v_prev holds the
-    previous interval's node values (all ones on [0, 1]).  All intervals have
-    unit width, so J, w and e are built once per table.  log rho is carried
-    as per-interval offsets, so nothing underflows up to u = 500.
+    b starts as [1] and each next b is c/c_0, so every b_i and c_i is a sum
+    and quotient of non-negative numbers and nothing cancels; the continuity
+    form c_0 = 1 - sum_{i>=1} c_i would lose digits at every step.  log rho
+    is carried as the offsets log rho(k+1) = log rho(k) + log c_0, so
+    nothing underflows up to u = 500.
+
+    Tail bound: summing (k+1)(j+1) c_{j+1} - j*c_j = b_j over j >= N gives
+    k * sum_{j>N} j*c_j = N*c_N + sum_{j>=N} b_j, so the terms dropped after
+    c_N add up to at most (N*c_N + sum_{j>=N} b_j) / (k(N+1)).  An interval
+    stops at the first N where c_N and the next forcing term
+    b_N/((k+1)(N+1)) are both below delta = eps*c_1/(2k), eps = 2^-56;
+    delta <= eps*c_0, since c_0 has the summand c_1/(2k).  Past
+    the first few terms the b_j fall by at least half per step (the series
+    of rho on [k-1, k] about u = k converges up to its singularity at
+    u = k-2, t = 2; checked for every interval to u = 500), so
+    sum_{j>=N} b_j <= 2*b_N and the dropped terms add up to less than
+    (2k+3)/k * delta <= 5*eps*c_0, below 2^-53 of f(t) >= c_0.
     """
 
-    def __init__(self, degree: int):
-        self.degree = degree
+    def __init__(self):
         self.offsets = [0.0]  # log rho(k) for k = 1, 2, ...
-        self.ratios: list = []  # numpy Chebyshev interpolants of rho(u)/rho(k)
+        self.series: list[list[float]] = []  # c for [k, k + 1], over rho(k)
         self.lock = threading.Lock()
-        self._operators = None  # (nodes, values->coefficients, J, w, e)
-        self._values = None  # the last built interval's node values
-
-    def _build_operators(self):
-        import numpy as np
-        from numpy.polynomial import chebyshev as cheb
-
-        n = self.degree + 1
-        x = cheb.chebpts1(n)  # the nodes of Chebyshev.interpolate on [-1, 1]
-        to_coef = cheb.chebvander(x, self.degree).T
-        to_coef[0] /= n
-        to_coef[1:] /= 0.5 * n
-        # integral from the left end in u = (x + 1)/2, so d(u) = d(x)/2
-        integ = cheb.chebint(np.eye(n), lbnd=-1.0, scl=0.5, axis=0) @ to_coef
-        jmat = cheb.chebvander(x, self.degree + 1) @ integ
-        whole = cheb.chebvander(np.array([1.0]), self.degree + 1)[0] @ integ
-        # the right-end row in closed form: (-1)^i cot(theta_i/2) / n at
-        # x = cos(theta_i), theta_i = pi (i + 1/2) / n, listed as x ascends;
-        # summing the columns of to_coef instead loses 2e-14
-        i = np.arange(n)[::-1]
-        right = np.where(i % 2, -1.0, 1.0) / (n * np.tan(0.5 * np.pi * (i + 0.5) / n))
-        return x, to_coef, jmat, whole, right
 
     def _build_interval(self, k: int) -> None:
-        import numpy as np
-        from numpy.polynomial.chebyshev import Chebyshev
-
-        if self._operators is None:
-            self._operators = self._build_operators()
-            self._values = np.ones(self.degree + 1)  # rho = 1 on [0, 1]
-        x, to_coef, jmat, whole, right = self._operators
-        prev = self._values
-        rhs = (whole @ prev - jmat @ prev) / (right @ prev)
-        nodes = k + 0.5 + 0.5 * x
-        values = np.linalg.solve(np.diag(nodes) - jmat, rhs)
-        self._values = values
-        self.ratios.append(Chebyshev(to_coef @ values, domain=[k, k + 1]))
-        self.offsets.append(self.offsets[-1] + math.log(float(right @ values)))
+        prev = self.series[-1] if self.series else [1.0]  # rho = 1 on [0, 1]
+        b = [c / prev[0] for c in prev]
+        delta = _RHO_EPS / (2 * k * (k + 1))
+        c = [0.0]
+        while True:
+            i = len(c) - 1
+            c.append(((b[i] if i < len(b) else 0.0) + i * c[i]) / ((k + 1) * (i + 1)))
+            forcing = (b[i + 1] if i + 1 < len(b) else 0.0) / ((k + 1) * (i + 2))
+            if c[-1] < delta and forcing < delta:
+                break
+        c[0] = math.fsum([c[i] / (i + 1) for i in range(1, len(c))]) / k
+        self.series.append(c)
+        self.offsets.append(self.offsets[-1] + math.log(c[0]))
 
     def log_rho(self, u: float) -> float:
         if u <= 1.0:
             return 0.0
-        k = int(math.floor(u))  # u reads the interval [k, k + 1]
+        k = math.ceil(u) - 1  # u reads the interval [k, k + 1] at t = k + 1 - u
         with self.lock:
-            while len(self.ratios) < k:
-                self._build_interval(len(self.ratios) + 1)
-        r = float(self.ratios[k - 1](u))
-        return self.offsets[k - 1] + math.log(r)
+            while len(self.series) < k:
+                self._build_interval(len(self.series) + 1)
+        return self.offsets[k - 1] + math.log(_horner(self.series[k - 1], k + 1 - u))
 
 
-RHO_DEGREE = 30
+def _horner(coefficients: list[float], t: float) -> float:
+    value = 0.0
+    for c in reversed(coefficients):
+        value = value * t + c
+    return value
+
+
+_RHO_EPS = 2.0 ** -56
 RHO_U_MAX = 500.0
-_rho_table = _RhoTable(RHO_DEGREE)
+_rho_table = _RhoTable()
 
 
 def rho_numeric(u: float) -> RhoValue:

@@ -67,6 +67,22 @@ class TestExpand:
         _, out2, _ = run(capsys, "expand", "--degree", "1")
         assert out1 == out2
 
+    def test_cache_write_failure(self, capsys, monkeypatch, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv(cachemod.CACHE_DIR_ENV, str(blocker / "sub"))
+        code, out, err = run(capsys, "expand", "--degree", "2", "--prove")
+        assert code == 1
+        assert out.startswith("name,i,j,exact,float\n")
+        assert err.startswith(f"error: cannot write expansion cache {blocker / 'sub'}")
+        assert "Traceback" not in err
+
+    def test_out_write_failure(self, capsys, cache_env, tmp_path):
+        out_path = tmp_path / "missing" / "t.csv"
+        code, out, err = run(capsys, "expand", "--degree", "2", "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+
 
 class TestCacheRoundTrip:
     def test_round_trip_and_tamper(self, cache_env, cpe2):
@@ -100,8 +116,9 @@ class TestCacheRoundTrip:
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(os, "replace", fail_replace)
-        with pytest.raises(OSError):
+        with pytest.raises(cachemod.CacheError) as info:
             save_expansion(cpe2)
+        assert isinstance(info.value.__cause__, OSError)
         assert path.read_bytes() == before
         assert list(path.parent.glob("expansion_deg*.json")) == [path]
 
@@ -294,6 +311,13 @@ class TestNumericCommands:
             assert err == f"error: figure logrho needs i_max >= 1, got {i_max}\n"
             assert not csv_path.exists()
 
+    def test_figure_write_failure(self, capsys, cache_env, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "figure", "--id", "logrho", "--i-max", "2",
+                             "--points", "16", "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+
     def test_figure_deterministic_bytes(self, capsys, cache_env, tmp_path, cpe2):
         save_expansion(cpe2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -330,6 +354,7 @@ FLOAT_STACK_SCRIPT = textwrap.dedent("""
     assert cli.main(["rho", "--u", "30", "--method", "series"]) == 0
     debruijn_only = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
     rho2 = rho_numeric(2.0).rho
+    assert cli.main(["rho", "--u", "500"]) == 0
     print(json.dumps({
         "exact_only": exact_only,
         "debruijn_only": debruijn_only,
@@ -353,7 +378,7 @@ def test_float_stack_loads_only_for_float_evaluators(tmp_path):
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["exact_only"] == []
     assert got["debruijn_only"] == []
-    assert got["after_float"] == ["numpy"]
+    assert got["after_float"] == []
     assert got["rho2"] == pytest.approx(1.0 - math.log(2.0), abs=1e-9)
     assert math.isfinite(got["db_series"])
     assert abs(got["db_integral"] - got["rho5"]) < 0.5

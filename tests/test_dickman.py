@@ -243,9 +243,10 @@ def rho3_trapezoid_oracle(step: float = 1e-5) -> float:
 
 
 def reference_rho_table(degree: int, k_max: int):
-    """Picard iteration of the collocation equation per unit interval: the
-    oracle for the table's one linear solve per interval.  Returns the
-    Chebyshev interpolants of rho(u)/rho(k) on [k, k+1] and log rho(k)."""
+    """Picard iteration of a Chebyshev collocation of the integral form per
+    unit interval, an oracle independent of the table's power series.
+    Returns the Chebyshev interpolants of rho(u)/rho(k) on [k, k+1] and
+    log rho(k)."""
     from numpy.polynomial.chebyshev import Chebyshev
 
     ratios, offsets = [], [0.0]
@@ -302,7 +303,7 @@ def taylor_rho_oracle(k_max: int, dps: int = 60, terms: int = 200):
 
 class TestRhoOracles:
     def test_against_picard_reference(self):
-        ratios, offsets = reference_rho_table(dickman.RHO_DEGREE, 500)
+        ratios, offsets = reference_rho_table(30, 500)
         rng = random.Random(20)
         for u in [1.0 + 499.0 * (1.0 - rng.random()) for _ in range(200)]:
             k = min(int(u), 500)
@@ -310,11 +311,25 @@ class TestRhoOracles:
             assert abs(rho_numeric(u).log_rho - want) <= 1e-13 * abs(want), u
 
     def test_against_taylor_oracle(self):
+        """The oracle expands about each interval's right end, as the table
+        does, and differs only in its 60 digits and its continuity form for
+        a_0; so it checks the float arithmetic, and reference_rho_table stays
+        the independent check up to u = 500."""
         log_rho = taylor_rho_oracle(19)
         points = [1.05 + 0.25 * i for i in range(76)] + [float(k) for k in range(2, 21)]
         for u in points:
             want = log_rho(u)
-            assert abs(rho_numeric(u).log_rho - want) <= 1e-13 * abs(want), u
+            assert abs(rho_numeric(u).log_rho - want) <= 1e-14 * abs(want), u
+
+    def test_against_dilog_closed_form(self):
+        # rho(u) = 1 - (1 - log(u-1)) log u + Li2(1-u) + pi^2/12 on [2, 3]
+        rng = random.Random(23)
+        for u in [2.0, 3.0] + [2.0 + rng.random() for _ in range(100)]:
+            with mpmath.workdps(40):
+                x = mpmath.mpf(u)
+                want = mpmath.log(1 - (1 - mpmath.log(x - 1)) * mpmath.log(x)
+                                  + mpmath.polylog(2, 1 - x) + mpmath.pi ** 2 / 12)
+            assert abs(rho_numeric(u).log_rho - float(want)) <= 1e-15 * abs(float(want)), u
 
 
 class TestRho:
@@ -339,19 +354,23 @@ class TestRho:
         assert all(0.0 < v <= 1.0 for v in vals)
         assert all(vals[k + 1] <= vals[k] for k in range(len(vals) - 1))
 
-    def test_collocation_degree_convergence(self):
-        # spectral accuracy: the degree-30 table against degree 60 within 1e-9 in log
-        degree_60 = dickman._RhoTable(60)
-        for u in (5.0, 12.5, 20.0):
-            assert abs(rho_numeric(u).log_rho - degree_60.log_rho(u)) < 1e-9
+    def test_continuity_at_left_ends(self):
+        # c_0 comes from the integral form, so the series of [k, k+1] at t = 1
+        # summing to rho(k)/rho(k) = 1 is a check the build never imposes
+        table = dickman._RhoTable()
+        table.log_rho(501.0)
+        assert len(table.series) == 500
+        for k, coefficients in enumerate(table.series, 1):
+            assert abs(dickman._horner(coefficients, 1.0) - 1.0) <= 4 * math.ulp(1.0), k
+            assert min(coefficients) > 0.0, k
 
     def test_builds_only_the_interval_it_reads(self):
-        table = dickman._RhoTable(dickman.RHO_DEGREE)
+        table = dickman._RhoTable()
         value = table.log_rho(2.5)
-        assert len(table.ratios) == 2
-        deep = dickman._RhoTable(dickman.RHO_DEGREE)
-        deep.log_rho(6.0)
-        assert len(deep.ratios) == 6
+        assert len(table.series) == 2
+        deep = dickman._RhoTable()
+        deep.log_rho(6.0)  # u in (5, 6] reads [5, 6]
+        assert len(deep.series) == 5
         assert deep.log_rho(2.5) == value
 
     def test_deep_range_survives(self):
