@@ -1,18 +1,17 @@
 """Exact and numeric toolkit for the asymptotic expansion of the heuristic
 Number Field Sieve complexity: the Dickman-de Bruijn series (P in its closed
-Stirling form, and the exponent series Q built from it), an exact
-bivariate-series engine over Q[log 2, log 3], the guess/prove pipeline for
-the minimizing parameters, and floating-point evaluators for the resulting
-truncations.  The names below are the public API.
+Stirling form, and the exponent series Q built from it by the Ei expansion
+of de Bruijn's integral), an exact bivariate-series engine over
+Q[log 2, log 3], the guess/prove pipeline for the minimizing parameters,
+and floating-point evaluators for the resulting truncations.  The names
+below are the public API.
 """
 
 from .exact import (
     LogConstant, RadicalScale,
     log_of_rational, scale_log, scale_ratio_as_rational,
 )
-from .pseries import (
-    TruncatedBiSeries, delta, neumann_inverse_one_plus_delta,
-)
+from .pseries import TruncatedBiSeries
 from .dickman import (
     PSeries, QSeries, RhoValue,
     cep_series, integral_s_numeric, log_rho_debruijn, p_series, q_series,

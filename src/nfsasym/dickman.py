@@ -5,9 +5,14 @@ Notation: X(eta) = loglog(eta)/log(eta) and Y(eta) = 1/log(eta).  s(eta) is
 the positive root of s = log(1 + s*eta); s(eta)/log(eta) expands as the
 bivariate series P(X, Y), built from its closed form in the signed Stirling
 numbers of the first kind (p_series), and (1/(u log u)) * integral_e^u s
-d(eta) expands as Q(X, Y) with
+d(eta) expands as Q(X, Y).  Q comes from de Bruijn's closed form of that
+integral (below): at the root e^s = 1 + u*s, so the asymptotic series
+Ei(s) ~ (e^s/s) * sum_{k>=0} k!/s^k gives u*s - Ei(s) = u*(s - 1 -
+sum_{k>=1} k!/s^k) up to terms smaller by a power of u, as are log(s),
+gamma and the lower limit.  Dividing by u*log(u), with s = log(u)*P and
+Y = 1/log(u),
 
-    Q = (1-Y)*P + Y*(1+Delta)^(-1)*(1 - Y^(-1))*Delta(P),
+    Q = P - Y - sum_{k>=1} k! * Y^(k+1) * P^(-k),
 
 so neither series needs a series log.
 
@@ -30,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import LogConstant
-from .pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
+from .pseries import TruncatedBiSeries
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -109,17 +114,22 @@ def p_series(n: int) -> PSeries:
 
 @lru_cache(maxsize=None)
 def q_series(n: int) -> QSeries:
-    """Q = (1-Y)P + Y*(1+Delta)^(-1)(1 - Y^(-1))(Delta P), truncated at n."""
+    """Q = P - Y - sum_{k=1..n-1} k! Y^(k+1) P^(-k), truncated at n (the Ei
+    expansion of the module docstring).  The k-th term is Y^(k+1) times a
+    series, so P^(-k) is needed only to order n-k-1: P is inverted once, at
+    order n-2, and each power is the previous one times that inverse."""
     if n < 0:
         raise DomainError("series order must be >= 0")
     p = p_series(n).series
-    dp = delta(p)
-    operand = dp - dp.divide_by_y()
-    resolved = neumann_inverse_one_plus_delta(operand)
-    one = TruncatedBiSeries.one(n)
-    y = TruncatedBiSeries.monomial(0, 1, max(n, 1)).truncate(n)
-    q = (one - y) * p + resolved.shift(0, 1).truncate(n)
-    return QSeries(q.with_order(n))
+    q = p - TruncatedBiSeries.monomial(0, 1, max(n, 1)).truncate(n)
+    if n >= 2:
+        p_inv = p.truncate(n - 2).inverse()
+        power = p_inv  # P^(-k) at order n-k-1
+        for k in range(1, n):
+            q = q - power.shift(0, k + 1).scale(math.factorial(k))
+            if k < n - 1:
+                power = power.truncate(n - k - 2) * p_inv
+    return QSeries(q)
 
 
 def q_truncation(n: int) -> TruncatedBiSeries:

@@ -1006,9 +1006,8 @@ def prove_existence(n: int, cand: CandidateExpansion,
       doubled exponents is then preserved by every operation of the build;
     * its coefficient at X^(n+2) comes from the expansion modulo Y, which
       drops every Y-carrying term (TruncatedBiSeries.y_bounded) and is exact
-      on the powers of X: nothing on the constraint path divides by Y (only
-      Q is built that way, unbounded and cached), and asym_add multiplies
-      by Y^gap with gap >= 0 only.
+      on the powers of X: every series operation commutes with that drop,
+      and asym_add multiplies by Y^gap with gap >= 0 only.
 
     A trial with a nonzero half-integer term, or a build with a non-integer
     gap, takes the full order-(n+2) expansion instead.

@@ -12,12 +12,10 @@ A series may also carry a bound on its Y exponent (y_bounded): it then keeps
 no term whose Y exponent exceeds the bound, and a binary operation keeps the
 tighter bound of its operands.  The terms beyond any bound form an ideal of
 the series ring, so dropping them is a ring homomorphism: it commutes with
-+, -, *, scale, shift, truncate, inverse and log, with Delta (which never
-lowers a Y exponent) and with compose into a bounded substitute.  A bounded
-result is therefore the unbounded one with the same terms dropped.
-Division by Y is the one operation that does not descend (it would bring the
-dropped terms back), so divide_by_y refuses a bounded series.  Without a
-bound no operation pays any per-term check.
+every operation here (+, -, *, scale, shift, truncate, inverse, log, and
+compose into a bounded substitute).  A bounded result is therefore the
+unbounded one with the same terms dropped.  Without a bound no operation
+pays any per-term check.
 
 Coefficients carry their own arithmetic, except in the series product.  The
 series needs from them:
@@ -57,14 +55,6 @@ coefficient type must be a polynomial over LogConstant in unknown monomials:
 
 A product term has that type when one of the operand terms behind it had it,
 and is a LogConstant otherwise.
-
-The Delta operator implemented here is the derivation with
-
-    Delta 1 = 0,   Delta X = Y*(Y - X),   Delta Y = -Y**2,
-
-extended by the product rule; it encodes d/d(eta) of T(X(eta), Y(eta)) up to
-a 1/eta factor.  Its Neumann inverse sum((-Delta)**k) is finite at any fixed
-truncation because Delta strictly raises total degree.
 """
 
 from __future__ import annotations
@@ -320,18 +310,6 @@ class TruncatedBiSeries:
             self.ymax2,
         )
 
-    def divide_by_y(self) -> "TruncatedBiSeries":
-        """Exact division by Y; every term must carry Y at least once, and the
-        series must be unbounded in Y (a dropped term would reach the bound)."""
-        if self.ymax2 is not None:
-            raise SeriesError("cannot divide a Y-bounded series by Y")
-        terms = {}
-        for (dx, dy), c in self.terms.items():
-            if dy < 2:
-                raise SeriesError("series is not divisible by Y")
-            terms[(dx, dy - 2)] = c
-        return TruncatedBiSeries._make(max(self.order2 - 2, 0), terms)
-
     def _coerce_series(self, other):
         if isinstance(other, TruncatedBiSeries):
             return other
@@ -569,49 +547,3 @@ def _exp_to_string(e: ExpPair) -> str:
         else:
             parts.append(f"{name}^({Fraction(d, 2)})")
     return "*".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# The Delta derivation
-# ---------------------------------------------------------------------------
-
-def delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
-    """The derivation with Delta X = Y(Y-X), Delta Y = -Y^2 on monomials:
-
-        Delta(X^a Y^b) = a X^(a-1) Y^(b+2) - (a+b) X^a Y^(b+1).
-
-    Only integer exponents are admitted; the image always carries a factor Y.
-    """
-    if not t.has_integer_exponents():
-        raise SeriesError("Delta is defined on integer-exponent series only")
-    terms: dict[ExpPair, object] = {}
-
-    def put(e, c):
-        if e[0] + e[1] > t.order2 or not c:
-            return
-        s = terms.get(e)
-        s = c if s is None else s + c
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-
-    for (dx, dy), c in t.terms.items():
-        a, b = dx // 2, dy // 2
-        if a:
-            put((dx - 2, dy + 4), c * Fraction(a))
-        if a + b:
-            put((dx, dy + 2), c * Fraction(-(a + b)))
-    return TruncatedBiSeries._make(t.order2, terms, t.ymax2)
-
-
-def neumann_inverse_one_plus_delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
-    """sum_k (-Delta)^k t, finite at fixed truncation since Delta raises degree."""
-    acc = t
-    term = t
-    while True:
-        term = -delta(term)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc

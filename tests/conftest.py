@@ -5,7 +5,7 @@ import pytest
 
 from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import compute_proven_expansion
-from nfsasym.pseries import TruncatedBiSeries
+from nfsasym.pseries import SeriesError, TruncatedBiSeries
 
 
 L2 = LogConstant.gen(2)
@@ -41,6 +41,70 @@ def p_series_recurrence(n: int) -> TruncatedBiSeries:
         p = (TruncatedBiSeries.one(order) + TruncatedBiSeries.x(order)
              + TruncatedBiSeries.y(order) * p.with_order(order).log())
     return p.with_order(n)
+
+
+def delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
+    """The derivation with Delta X = Y(Y-X), Delta Y = -Y^2 on monomials:
+
+        Delta(X^a Y^b) = a X^(a-1) Y^(b+2) - (a+b) X^a Y^(b+1).
+
+    It encodes d/d(eta) of T(X(eta), Y(eta)) up to a 1/eta factor.  Only
+    integer exponents are admitted; the image always carries a factor Y.
+    """
+    if not t.has_integer_exponents():
+        raise SeriesError("Delta is defined on integer-exponent series only")
+    terms: dict = {}
+
+    def put(e, c):
+        if e[0] + e[1] > t.order2 or not c:
+            return
+        s = terms.get(e)
+        s = c if s is None else s + c
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+
+    for (dx, dy), c in t.terms.items():
+        a, b = dx // 2, dy // 2
+        if a:
+            put((dx - 2, dy + 4), c * Fraction(a))
+        if a + b:
+            put((dx, dy + 2), c * Fraction(-(a + b)))
+    return TruncatedBiSeries._make(t.order2, terms, t.ymax2)
+
+
+def neumann_inverse_one_plus_delta(t: TruncatedBiSeries) -> TruncatedBiSeries:
+    """sum_k (-Delta)^k t, finite at fixed truncation since Delta raises degree."""
+    acc = t
+    term = t
+    while True:
+        term = -delta(term)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def divide_by_y(t: TruncatedBiSeries) -> TruncatedBiSeries:
+    """Exact division by Y of an unbounded series whose every term carries Y."""
+    assert t.ymax2 is None and all(dy >= 2 for _, dy in t.terms), t
+    return TruncatedBiSeries._make(max(t.order2 - 2, 0),
+                                   {(dx, dy - 2): c for (dx, dy), c in t.terms.items()})
+
+
+def q_series_delta(p: TruncatedBiSeries) -> TruncatedBiSeries:
+    """The oracle for dickman.q_series, from P by the Delta resolvent:
+
+        Q = (1-Y)*P + Y*(1+Delta)^(-1)*(1 - Y^(-1))*Delta(P)
+
+    truncated at P's order.  It shares no step with the Ei form beyond the
+    series arithmetic."""
+    n = p.order
+    dp = delta(p)
+    resolved = neumann_inverse_one_plus_delta(dp - divide_by_y(dp))
+    y = TruncatedBiSeries.monomial(0, 1, max(n, 1)).truncate(n)
+    return ((TruncatedBiSeries.one(n) - y) * p + resolved.shift(0, 1).truncate(n)).with_order(n)
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:

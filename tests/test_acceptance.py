@@ -17,11 +17,11 @@ from nfsasym.dickman import (
 from nfsasym.evalkit import g_demo, xi_eval
 from nfsasym.exact import ExactError, LogConstant
 from nfsasym.nfsopt import guess_terms, prove_existence
-from nfsasym.pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
+from nfsasym.pseries import TruncatedBiSeries
 
 from conftest import (
-    L2, L3, p_series_recurrence, random_logconstant, random_rational, random_series,
-    reference_table,
+    L2, L3, delta, neumann_inverse_one_plus_delta, p_series_recurrence,
+    random_logconstant, random_rational, random_series, reference_table,
 )
 from test_dickman import rho3_trapezoid_oracle
 from test_evalkit import xi_gap_loglog

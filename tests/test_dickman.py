@@ -16,9 +16,9 @@ from nfsasym.dickman import (
     radius_constant, radius_threshold_check, rho_numeric, s_numeric, xy_of,
 )
 from nfsasym.exact import LogConstant
-from nfsasym.pseries import TruncatedBiSeries, delta, neumann_inverse_one_plus_delta
+from nfsasym.pseries import TruncatedBiSeries
 
-from conftest import p_series_recurrence
+from conftest import p_series_recurrence, q_series_delta
 
 
 def S(order, terms):
@@ -67,16 +67,10 @@ class TestQSeries:
         assert cep.coefficient(1, 1) == LogConstant.one()
 
     def test_q_from_either_p_construction(self):
-        # Q rebuilt from the recurrence oracle's P must be the identical series
+        # the Ei form must equal the Delta resolvent, applied to the P of the
+        # recurrence oracle, as the identical series
         for n in range(15):
-            p = p_series_recurrence(n)
-            dp = delta(p)
-            operand = dp - dp.divide_by_y() if not dp.is_zero() else dp
-            resolved = neumann_inverse_one_plus_delta(operand)
-            one_ = TruncatedBiSeries.one(n)
-            y = TruncatedBiSeries.monomial(0, 1, max(n, 1)).truncate(n)
-            q_alt = (one_ - y) * p + resolved.shift(0, 1).truncate(n)
-            assert q_alt.with_order(n) == q_series(n).series, n
+            assert q_series_delta(p_series_recurrence(n)) == q_series(n).series, n
 
     def test_built_without_series_log(self, monkeypatch):
         def refuse(self):

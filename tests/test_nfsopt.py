@@ -503,6 +503,16 @@ class TestComputeProvenExpansion:
         assert _proof_digest(result) == (
             "cfcd45d88432d25a3987dd9311e8e93204848f28b88ad977d43ca8901677e8de")
 
+    # Recorded from a run of the code that built Q by the Delta resolvent,
+    # before the Ei form replaced it.
+    @pytest.mark.deep
+    @deep
+    def test_degree_12_golden_digest(self):
+        result = compute_proven_expansion(12)
+        assert result.ok, result.failure
+        assert _proof_digest(result) == (
+            "857e05179f1184e4b98ab219e2fe886a84d22d82b0aef8bc1310fc777cc47277")
+
     @pytest.mark.deep
     @deep
     def test_degree_8_layers_match_reference(self, monkeypatch):

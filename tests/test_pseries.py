@@ -6,12 +6,11 @@ import pytest
 
 from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import Jet, UnknownPoly, UnknownShapeError
-from nfsasym.pseries import (
-    SeriesError, SingularSeriesError, TruncatedBiSeries,
-    delta, neumann_inverse_one_plus_delta,
-)
+from nfsasym.pseries import SeriesError, SingularSeriesError, TruncatedBiSeries
 
-from conftest import L2, L3, random_logconstant, random_series
+from conftest import (
+    L2, L3, delta, neumann_inverse_one_plus_delta, random_logconstant, random_series,
+)
 
 
 def S(order, terms):
@@ -379,11 +378,6 @@ class TestYBound:
     def test_bound_is_part_of_the_value(self):
         assert one(2).y_bounded(0) != one(2)
         assert (one(2) + Y(2)).y_bounded(0) == one(2).y_bounded(0)
-
-    def test_divide_by_y_refused(self):
-        s = (Y(3) + X(3) * Y(3)).y_bounded(1)
-        with pytest.raises(SeriesError):
-            s.divide_by_y()
 
     def test_bounded_compose_refused(self):
         with pytest.raises(SeriesError):
