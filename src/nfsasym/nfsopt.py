@@ -16,12 +16,8 @@ with A(0,0) = B(0,0) = D(0,0) = 1, and the constraint
 is expanded with the smoothness map p of the asym module, its series Q
 truncated at the expansion's own order, then divided by the scale of a.
 With unknown coefficients attached, each coefficient of the expansion is an
-exact polynomial (of degree <= 2) in them, an UnknownPoly.  No series is
-built over the unknowns: the expansion is the plain build over the known
-coefficients plus the first and second derivatives of the constraint in A,
-B and D, taken from one build over second-order jets at about half the
-order, times the unknowns (Taylor's formula, exact at the order because
-every unknown has degree at least half of it; see _expand_layer).
+exact polynomial (of degree <= 2) in them, an UnknownPoly, assembled by
+Taylor's formula from builds over known coefficients (see _expand_layer).
 
 Solving schedule.  A's monomials are targeted one at a time in graded-lex
 order (X before Y), one degree layer after the other.  The constraint is
@@ -58,26 +54,20 @@ has already pinned, and every step certifies its own square, boundary sign,
 half-integer zeros and vanishing below the target.  The log of the guessing
 pass is therefore the minimality proof: compute_proven_expansion(n) walks the
 schedule once, through degree n+1, certifies existence at degrees 1..n, and
-checks the P2 -> P3 adjacency on that same log.  Existence at degree k is
-read from the constraint at order k+2 with a pure-X tail unknown of A, and
-for k <= n-1 that is layer k+2 of the schedule, already expanded with the
-tail attached: the certificate substitutes the truncated candidate into it.
-At k = n the certificate needs the coefficients of degree <= n+1, which
-layer n+1 gives by the same substitution; those of degree n+3/2, which
-vanish without an expansion when every exponent of the trial and every
-asym_add gap is an integer (the parity of the doubled exponents is a
-grading that every operation of the expansion respects); and the one at
-X^(n+2), which an expansion modulo Y (every Y-carrying term dropped, a ring
-homomorphism) gives exactly at a fraction of the cost.  So a proof makes
-n+1 layer expansions and one expansion in X alone, none above order n+1 in
-both variables, each a plain build and a jet build.  Every step of a layer
-shares the layer's absorption audit.
+checks the P2 -> P3 adjacency on that same log.  Existence at degree k
+substitutes the truncated candidate into the constraint at order k+2 with
+a pure-X tail unknown of A: layer k+2 of the schedule for k <= n-1, and at
+k = n layer n+1 and one expansion in X alone (see prove_existence).  So a
+proof makes n+1 layer expansions, each a plain build and a jet build, and
+one plain build in X alone, none above order n+1 in both variables.  Every
+step of a layer shares the layer's absorption audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .asym import (
@@ -238,6 +228,8 @@ class UnknownPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, LogConstant):  # a scalar: Q[l2, l3] has no zero divisors
+            return self._make({m: c * other for m, c in self.terms.items()} if other else {})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -346,29 +338,19 @@ def _symbol_name(sym: Symbol) -> str:
 
 
 class Jet(UnknownPoly):
-    """A second-order jet: a value over LogConstant plus its parts in the
-    perturbations "a", "b" and "d" of A, B and D, three first-order and six
-    second-order, under the UnknownPoly monomial convention.
-
-    A product drops its third-order parts instead of raising: jets compute
-    in the quotient of the coefficient ring by the cubes of the
-    perturbations, a ring homomorphism, so every part they keep is exact.
-    Nothing _expand_layer needs is lost with them: the Taylor terms of order
-    three in the unknowns lie beyond the order of the expansion, because
-    every unknown has degree >= order/2 (the slot unknowns of layer k have
-    degree k/2, every other unknown degree k).
+    """A first-order jet: a value over LogConstant plus its parts in the
+    perturbations of the kinds _add_derivative_terms perturbs (B and D),
+    each the symbol of its kind at X^(1/2).  A product drops every product
+    of two perturbations: jets compute in the quotient of the coefficient
+    ring by the ideal those products generate, a ring homomorphism, so the
+    value and first-order parts they keep are exact.
     """
 
     __slots__ = ()
 
-    # the product of two perturbation monomials, None past order 2
-    mono_mul = staticmethod(_mono_product)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})" + "".join(f"*e{kind}" for kind in m)
-                          for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    @staticmethod
+    def mono_mul(m1: UMono, m2: UMono) -> Optional[UMono]:
+        return None if m1 and m2 else m1 or m2
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +578,7 @@ def _known_values(k: int, A: dict, D: dict, free: tuple) -> dict[Symbol, LogCons
             for sym in _layer_symbols(k) if sym not in free}
 
 
-# the jets perturb A, B and D by eps * X^(1/2), a monomial of positive
-# degree, so every constant term of the jet build is the plain one
+# every perturbation is the symbol of its kind at X^(1/2), of positive degree
 _EPS = (1, 0)
 
 
@@ -612,7 +593,6 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
     """Expand the constraint once at `order` over the known A and D
     coefficients, B being A's a = b copy, with `symbols` attached on top;
     modulo every term of Y exponent above `y_max` when it is given.
-
     Returns the series, every coefficient an UnknownPoly, and the
     absorption audit of the build.
 
@@ -626,12 +606,12 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
 
     with F0 the plain build, c_kk = F_kk / 2 and c_kl = F_kl.  Every
     unknown has degree >= order/2 (checked), so at `order` the terms of
-    order three in dP vanish, c_kl is needed at degree 0 only, and F_A,
-    F_B, F_D through order minus the lowest unknown degree.  They come from
-    one build over Jet coefficients, A, B and D perturbed by eps_A, eps_B,
-    eps_D times X^(1/2): its eps_k part is F_k X^(1/2) and its eps_k eps_l
-    part c_kl X.  The formula is exact, so the series is the one the build
-    with the unknowns attached as coefficients would give.
+    order three in dP vanish, c_kl is needed at degree 0 only, and F_k
+    through order minus the lowest degree of a k unknown: degree 0 for A,
+    whose unknowns sit at the order, and order/2 for the B and D slots.
+    The degree-0 parts are the same in every layer (_add_derivative_terms
+    says why) and come from one cached build.  The formula is exact, so the
+    series is the one the build with the unknowns attached would give.
     """
     base = {"a": A, "b": A, "d": D}
     audit: list = []
@@ -647,33 +627,54 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
     return TruncatedBiSeries._make(f0.order2, polys, f0.ymax2), audit
 
 
+@lru_cache(maxsize=None)
+def _base_point() -> tuple[dict, dict]:
+    """F_k at degree 0 by kind k, and c_kl by pair of kinds (k, l), read off
+    the build of A, B, D = 1 + a, b, d X^(1/2) with the symbols a, b, d
+    attached, at order 1 modulo Y: its coefficient at X^(1/2) is sum F_k k,
+    and the one at X has quadratic part sum c_kl k l.  Built on first use."""
+    trials = {k: {(0, 0): LogConstant.one(), _EPS: UnknownPoly.from_symbol((k, *_EPS))} for k in "abd"}
+    f = build_constraint(*_trials(trials, 1, 0), 1)
+    first = {kind: f.terms[_EPS].coeff_linear((kind, *_EPS)) for kind in "abd"}
+    return first, {(m[0][0], m[1][0]): c for m, c in f.terms[(2, 0)].terms.items() if len(m) == 2}
+
+
 def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: int,
                           y_max) -> None:
     """Add the Taylor terms of first and second order in `symbols` to `out`,
-    {exponent: {unknown monomial: LogConstant}}, through doubled order2."""
+    {exponent: {unknown monomial: LogConstant}}, through doubled order2.
+
+    Truncation to degree 0 is a ring homomorphism every operation of the
+    build respects, so F_k at degree 0 and c_kl see only A0 = B0 = D0 = 1
+    (checked) and the fixed scales: they are the same for every layer, and
+    come from _base_point.  Only a kind with an unknown below the order is
+    perturbed, in one build over first-order Jets, whose part in kind k is
+    F_k X^(1/2); a trial with none (prove_existence's tail) takes no jet build.
+    """
+    zero = LogConstant.zero()
     deltas: dict[str, list] = {kind: [] for kind in "abd"}  # (exponent, symbol, value in P0)
     for sym in symbols:
-        deltas[sym[0]].append((sym[1:], sym, base[sym[0]].get(sym[1:], LogConstant.zero())))
-    low2 = min(e[0] + e[1] for e, _, _ in deltas["a"] + deltas["b"] + deltas["d"])
+        deltas[sym[0]].append((sym[1:], sym, base[sym[0]].get(sym[1:], zero)))
+    low2 = min(sym[1] + sym[2] for sym in symbols)
     if not low2 or 2 * low2 < order2:
         raise UnknownShapeError(
             f"an unknown of degree {Fraction(low2, 2)} < order/2 = {Fraction(order2, 4)}")
+    if any(terms.get((0, 0)) != 1 for terms in base.values()):
+        raise NfsoptError("the derivatives at degree 0 are taken at A(0) = B(0) = D(0) = 1")
 
-    jet_order2 = order2 - low2 + 1
-    jets = {}
-    for kind in "abd":
-        terms = jets[kind] = {e: c for e, c in base[kind].items() if e[0] + e[1] <= jet_order2}
-        terms[_EPS] = Jet({(): terms.get(_EPS, LogConstant.zero()), (kind,): LogConstant.one()})
-    jet_order = Fraction(jet_order2, 2)
-    first: dict[str, dict] = {kind: {} for kind in "abd"}  # F_k
-    second: dict[UMono, LogConstant] = {}                   # c_kl at degree 0
-    for e, c in build_constraint(*_trials(jets, jet_order, y_max), jet_order).terms.items():
-        if isinstance(c, Jet):
-            for m, v in c.terms.items():
-                if len(m) == 1:
-                    first[m[0]][(e[0] - _EPS[0], e[1])] = v
-                elif m and e == (2 * _EPS[0], 0):
-                    second[m] = v
+    f_zero, second = _base_point()
+    first = {kind: {(0, 0): c} if c else {} for kind, c in f_zero.items()}  # F_k
+    perturbed = {sym[0] for sym in symbols if sym[1] + sym[2] < order2}
+    if perturbed:
+        jet_order = Fraction(order2 - low2 + 1, 2)
+        jets = {kind: {e: c for e, c in base[kind].items() if sum(e) <= 2 * jet_order} for kind in "abd"}
+        for kind in perturbed:
+            jets[kind][_EPS] = Jet({(): jets[kind].get(_EPS, zero), ((kind, *_EPS),): LogConstant.one()})
+        for e, c in build_constraint(*_trials(jets, jet_order, y_max), jet_order).terms.items():
+            if isinstance(c, Jet):
+                for m, v in c.terms.items():
+                    if m:
+                        first[m[0][0]][(e[0] - _EPS[0], e[1])] = v
 
     def put(e, m, c):
         coeffs = out.setdefault(e, {})
@@ -681,9 +682,8 @@ def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: 
 
     for kind, entries in deltas.items():
         for (sx, sy), sym, value in entries:
-            room = order2 - sx - sy
             for (fx, fy), c in first[kind].items():
-                if fx + fy <= room:
+                if fx + fy + sx + sy <= order2:
                     e = (fx + sx, fy + sy)
                     put(e, (sym,), c)
                     if value:
@@ -997,10 +997,9 @@ def prove_existence(n: int, cand: CandidateExpansion,
     The certificate reads the order-(n+2) constraint of the truncated trial
     with the tail attached, but it does not expand it:
 
-    * its coefficients of degree <= n+1 come from an order-(n+1) expansion
-      of the trial.  On its own this is a plain build; compute_proven_expansion
-      passes its schedule's layer n+1 as `_layer` (built over the same known
-      values), and the trial is substituted into it;
+    * its coefficients of degree <= n+1 come from an order-(n+1) plain
+      build of the trial, or from `_layer`, compute_proven_expansion's layer
+      n+1 (built over the same known values), with the trial substituted;
     * its coefficients of degree n+3/2 vanish when every exponent of the
       trial and every asym_add gap is an integer, since the parity of the
       doubled exponents is then preserved by every operation of the build;
@@ -1010,7 +1009,8 @@ def prove_existence(n: int, cand: CandidateExpansion,
       and asym_add multiplies by Y^gap with gap >= 0 only.
 
     A trial with a nonzero half-integer term, or a build with a non-integer
-    gap, takes the full order-(n+2) expansion instead.
+    gap, takes the full order-(n+2) expansion instead.  The tail sits at the
+    order, so neither expansion takes a jet build (_add_derivative_terms).
     """
     if n < 1:
         raise ValueError("prove_existence needs n >= 1")

@@ -30,7 +30,7 @@ series needs from them:
 The constants the engine creates (one, rational scalars, log of a constant
 term) are always LogConstant, elements of Q[log 2, log 3], so a coefficient
 type must accept LogConstant operands on either side.  The
-unknown-coefficient polynomials and the second-order jets of the
+unknown-coefficient polynomials and the first-order jets of the
 optimization layer do, which lets one series mix them with plain
 constants; they implement the arithmetic and inverse() only, which is all
 the constraint expansion asks of them.
@@ -48,8 +48,8 @@ coefficient type must be a polynomial over LogConstant in unknown monomials:
   monomial 1;
 * `mono_mul(m1, m2)`, callable on the type, the product of two monomials
   other than (); it may raise to refuse a shape, or return None to drop the
-  product (the jets drop their third-order parts), and is called for every
-  such pair of monomials of every pair of terms within the order;
+  product (the jets drop every one), and is called for every such pair of
+  monomials of every pair of terms within the order;
 * `_make(terms)`, callable on the type, the value with a given map of
   nonzero LogConstant.
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nfsasym import nfsopt
 from nfsasym.exact import LogConstant
 from nfsasym.nfsopt import compute_proven_expansion
 from nfsasym.pseries import SeriesError, TruncatedBiSeries
@@ -163,3 +164,28 @@ def cpe8():
     result.elapsed_seconds = time.monotonic() - start
     assert result.ok, result.failure
     return result
+
+
+@pytest.fixture
+def record_builds(monkeypatch):
+    """Install a recorder on nfsopt.build_constraint: `record_builds()`
+    returns the list it fills with the (order, Y bound) of every build from
+    then on.  With `fold`, that event is also appended to every absorption
+    audit a build keeps.  The cached base-point build is made first, so a
+    recorded sequence never depends on which test ran before."""
+    nfsopt._base_point()
+    build = nfsopt.build_constraint
+
+    def install(fold=None):
+        calls = []
+
+        def recording(A, B, D, order, audit=None):
+            calls.append((order, A.ymax2))
+            if fold is not None and audit is not None:
+                audit.append(fold)
+            return build(A, B, D, order, audit=audit)
+
+        monkeypatch.setattr(nfsopt, "build_constraint", recording)
+        return calls
+
+    return install

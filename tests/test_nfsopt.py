@@ -1,7 +1,11 @@
+import difflib
 import hashlib
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,8 @@ from nfsasym.nfsopt import (
 )
 from nfsasym.pseries import TruncatedBiSeries
 
-from conftest import L2, L3, reference_table
+from conftest import L2, L3, random_logconstant, reference_table
+from proof_text import render
 
 F = Fraction
 
@@ -124,6 +129,23 @@ class TestUnknownPoly:
             UnknownPoly.from_symbol(("a", 2, 0)).inverse()
 
 
+class TestJet:
+    def test_drops_products_of_two_perturbations(self):
+        # a jet product is the UnknownPoly product less its parts of
+        # degree 2 in the perturbations, and it stays a Jet
+        rng = random.Random(27)
+        parts = [(), (("b", 1, 0),), (("d", 1, 0),)]
+        for _ in range(50):
+            p, q = ({m: random_logconstant(rng, allow_zero=False)
+                     for m in rng.sample(parts, rng.randint(1, 3))} for _ in range(2))
+            full = UnknownPoly(p) * UnknownPoly(q)
+            got = nfsopt.Jet(p) * nfsopt.Jet(q)
+            assert type(got) is nfsopt.Jet
+            assert got.terms == {m: c for m, c in full.terms.items() if len(m) < 2}
+        eb, ed = (nfsopt.Jet({m: LogConstant.one()}) for m in parts[1:])
+        assert not eb * ed and not eb * eb and not ed * ed
+
+
 class TestClassifyPattern:
     def test_quoted_rule(self):
         assert classify_pattern(1, 1) == "P1"
@@ -198,6 +220,80 @@ class TestLayerExpansion:
             nfsopt._expand_layer({(0, 0): LogConstant.one()}, {(0, 0): LogConstant.one()},
                                  [("b", 1, 0)], 2)
 
+    def test_constant_terms_checked(self):
+        # the degree-0 derivatives are those at A(0) = B(0) = D(0) = 1; the
+        # plain builds of these trials go through (their logs stay in
+        # Q[l2, l3]), and the derivative terms refuse them
+        one, half, two = (LogConstant.from_fraction(q) for q in (1, F(1, 2), 2))
+        for A, D in (({(0, 0): half}, {(0, 0): one}), ({(0, 0): one}, {(0, 0): two})):
+            with pytest.raises(nfsopt.NfsoptError, match="taken at A"):
+                nfsopt._expand_layer(A, D, [("a", 2, 0)], 1)
+
+    def test_tail_only_layer_makes_one_build(self, record_builds):
+        # an unknown at the order needs no derivative past degree 0, so the
+        # expansion is the plain build and the cached base-point parts
+        cand = guess_terms(2)
+        A, D = cand.A.truncate(3).terms, cand.D.truncate(F(3, 2)).terms
+        tail = [("a", 8, 0)]
+        calls = record_builds()
+        got = [nfsopt._expand_layer(A, D, tail, 4, y_max) for y_max in (None, 0)]
+        assert calls == [(4, None), (4, 0)]
+        assert got == [reference_layer(A, D, tail, 4, y_max) for y_max in (None, 0)]
+
+
+class TestBasePoint:
+    def test_matches_every_reference_layer(self, monkeypatch):
+        # the same in every layer: in the symbol-attached build of each layer
+        # of n = 6, A's and B's unknowns at a target have the degree-0 first
+        # derivatives as linear coefficients there, and every pair of slot
+        # unknowns has its c_kl at degree k (twice c_kk for two slots of one
+        # kind, the cross term of the square)
+        layers = []
+        expand = nfsopt._expand_layer
+
+        def recording(A, D, symbols, order, y_max=None):
+            if y_max is None:  # the schedule's layers; the existence build is modulo Y
+                layers.append((dict(A), dict(D), symbols, order))
+            return expand(A, D, symbols, order, y_max)
+
+        monkeypatch.setattr(nfsopt, "_expand_layer", recording)
+        assert compute_proven_expansion(6).ok
+        assert [layer[3] for layer in layers] == list(range(1, 8))
+        first, second = nfsopt._base_point()
+        zero, none = LogConstant.zero(), UnknownPoly({})
+        for A, D, symbols, k in layers:
+            ref, _ = reference_layer(A, D, symbols, k)
+            for sym in symbols:
+                if sym[1] + sym[2] == 2 * k:
+                    assert ref.terms.get(sym[1:], none).coeff_linear(sym) == first[sym[0]], sym
+            slots = [sym for sym in symbols if sym[1] + sym[2] == k]
+            for i, u in enumerate(slots):
+                for v in slots[i:]:
+                    c = second.get(tuple(sorted((u[0], v[0]))), zero)
+                    if u != v and u[0] == v[0]:
+                        c = c * 2
+                    got = ref.terms.get((u[1] + v[1], u[2] + v[2]), none)
+                    assert got.terms.get(tuple(sorted((u, v))), zero) == c, (k, u, v)
+
+    def test_square_identity(self):
+        # the 2/3, 1/3 diagonal _solve_square checks on every step, with no
+        # cross term and no linear slot term at degree 0
+        first, second = nfsopt._base_point()
+        assert first["a"] == F(3, 2)
+        assert -second[("b", "b")] / first["a"] == F(2, 3)
+        assert -second[("d", "d")] / first["a"] == F(1, 3)
+        assert ("b", "d") not in second
+        assert not first["b"] and not first["d"]
+
+    def test_built_on_first_use(self):
+        script = ("import nfsasym.nfsopt as n; print(n._base_point.cache_info().currsize);"
+                  " n.compute_proven_expansion(2); print(n._base_point.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
 
 class TestGuessTerms:
     def test_first_order_constants(self):
@@ -271,13 +367,13 @@ class TestProveExistence:
 
     @pytest.mark.parametrize("kind", ["low", "x", "half"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_corrupted_candidate_records(self, monkeypatch, k, kind):
+    def test_corrupted_candidate_records(self, record_builds, k, kind):
         # "low" adds 1 to A's XY coefficient, "x" adds 1 to A's X^(k+1)
         # coefficient, "half" gives D a term X^(1/2).  The records were taken
         # when every certificate read one order-(k+2) bivariate build; a
         # half-integer trial still takes that build, the others an
         # order-(k+1) build and the order-(k+2) build modulo Y.  The tail
-        # unknown sits at the order itself, so its jet build is at order 1/2.
+        # unknown sits at the order itself, so neither takes a jet build.
         monomial = {"low": (1, 1), "x": (k + 1, 0), "half": (1, 0)}[kind]
         detail = "((-1/2))" if kind == "half" else "((3/2))"
         cand = guess_terms(3)
@@ -292,14 +388,7 @@ class TestProveExistence:
             A=TruncatedBiSeries(cand.A.order, A), B=cand.B, D=TruncatedBiSeries(cand.D.order, D),
             degA=cand.degA, degB=cand.degB, degD=cand.degD, status="guessed",
         )
-        builds = []
-        build = nfsopt.build_constraint
-
-        def recording(A, B, D, order, **kwargs):
-            builds.append((order, A.ymax2))
-            return build(A, B, D, order, **kwargs)
-
-        monkeypatch.setattr(nfsopt, "build_constraint", recording)
+        builds = record_builds()
         with pytest.raises(ExistenceFailure) as info:
             prove_existence(k, bad)
         record = info.value.record
@@ -307,26 +396,16 @@ class TestProveExistence:
             "existence", k, tuple(map(F, monomial)), detail)
         assert record.message == ("nonvanishing coefficient below the dominant monomial"
                                   " (candidate does not satisfy the constraint)")
-        assert set(builds) == ({(k + 2, None), (F(1, 2), None)} if kind == "half"
-                               else {(k + 1, None), (k + 2, 0), (F(1, 2), 0)})
+        assert builds == ([(k + 2, None)] if kind == "half" else [(k + 2, 0), (k + 1, None)])
 
-    def test_half_integer_gap_takes_full_build(self, monkeypatch):
+    def test_half_integer_gap_takes_full_build(self, record_builds):
         # the constraint folds at integer gaps only; a build reporting a
         # half-integer one must not be trusted for the half-integer monomials
-        builds = []
-        build = nfsopt.build_constraint
-
-        def half_gap(A, B, D, order, audit=None, **kwargs):
-            builds.append((order, A.ymax2))
-            if audit is not None:  # the jet builds keep no audit
-                audit.append(FoldEvent(F(1, 2)))
-            return build(A, B, D, order, audit=audit, **kwargs)
-
         cand = guess_terms(2)
         want = prove_existence(1, cand)
-        monkeypatch.setattr(nfsopt, "build_constraint", half_gap)
+        builds = record_builds(fold=FoldEvent(F(1, 2)))
         assert prove_existence(1, cand) == want
-        assert builds == [(3, 0), (F(1, 2), 0), (3, None), (F(1, 2), None)]
+        assert builds == [(3, 0), (3, None)]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_x_only_expansion_matches_full(self, n):
@@ -394,6 +473,49 @@ class TestSolveTarget:
         with pytest.raises(nfsopt.GuessFailure, match="unresolved coefficient below the target"):
             nfsopt._solve_target(state, series, [], (6, 0))
 
+    @staticmethod
+    def square_layer(kb):
+        # a one-target layer: at X, -abar + (2/3)(bbar - kb)^2 + (1/3) dbar^2
+        # with its B and D unknowns at the half-integer slot X^(1/2)
+        a, b, d = (UnknownPoly.from_symbol(sym) for sym in (("a", 2, 0), ("b", 1, 0), ("d", 1, 0)))
+        poly = -a + (b - kb) * (b - kb) * F(2, 3) + d * d * F(1, 3)
+        return nfsopt._State(), TruncatedBiSeries._make(2, {(2, 0): poly})
+
+    def test_boundary_sign_by_enclosure(self, monkeypatch):
+        # every sign through n = 12 is rational, so this drives the solve
+        # through the enclosure branch of _exact_sign: the B center lies
+        # 9.4e-18 from the a = b boundary 0, on either side, and then on it
+        # to within the finest enclosure
+        bits = []
+        enclose = LogConstant.enclose
+
+        def recording(self, n):
+            bits.append(n)
+            return enclose(self, n)
+
+        monkeypatch.setattr(LogConstant, "enclose", recording)
+        c = F(6931471805599453, 10 ** 16)
+        state, series = self.square_layer(L2 - c)
+        nfsopt._solve_target(state, series, [], (2, 0))
+        step = state.log.steps[-1]
+        lo, hi = enclose(step.b_offset, 128)
+        assert not step.b_offset.is_rational() and 0 < lo <= hi < F(1, 10 ** 15)
+        assert (step.pattern, step.pinned_by, step.b_value) == ("P3", "b:square,d:square", 0)
+        assert state.A[(2, 0)] == (L2 - c) * (L2 - c) * F(2, 3)
+        assert bits and bits[-1] <= nfsopt._SIGN_MAX_BITS
+
+        state, series = self.square_layer(c - L2)
+        with pytest.raises(nfsopt.GuessFailure, match="lies below the a=b baseline"):
+            nfsopt._solve_target(state, series, [], (2, 0))
+        assert not state.log.steps
+
+        lo, hi = enclose(L2, 2 * nfsopt._SIGN_MAX_BITS)
+        state, series = self.square_layer(L2 - (lo + hi) / 2)
+        bits.clear()
+        with pytest.raises(nfsopt.NfsoptError, match="cannot certify sign"):
+            nfsopt._solve_target(state, series, [], (2, 0))
+        assert bits[-1] == nfsopt._SIGN_MAX_BITS
+
 
 class TestExactSign:
     def test_rational(self):
@@ -455,28 +577,20 @@ class TestComputeProvenExpansion:
     def test_proof_log_adjacency(self, cpe2):
         assert cpe2.proof_log.check_pattern_adjacency()
 
-    def test_one_schedule_pass(self, monkeypatch):
+    def test_one_schedule_pass(self, record_builds):
         # 3 layer expansions (A's targets of degrees 1..3) + the degree-2
         # existence build, which is in X alone (bound 0 on Y): existence at
         # degree 1 reads layer 3 and at degree 2 layer 3 as well, and a
         # per-target expansion, a replayed schedule, a degree-4 layer, a
         # separate degree-1 certificate build or a bivariate degree-2 one
-        # would add more.  Each of the four is a plain build followed by
-        # its jet build, at order k/2 + 1/2 for layer k (the slot unknowns
-        # have degree k/2) and at 1/2 for the existence build (its tail
-        # unknown has degree 4)
-        calls = []
-        build = nfsopt.build_constraint
-
-        def counting(A, B, D, order, **kwargs):
-            calls.append((order, A.ymax2))
-            return build(A, B, D, order, **kwargs)
-
-        monkeypatch.setattr(nfsopt, "build_constraint", counting)
+        # would add more.  Each layer is a plain build followed by its jet
+        # build at order k/2 + 1/2 (the slot unknowns have degree k/2); the
+        # existence build's only unknown, the tail, sits at its order, so it
+        # takes no jet build
+        calls = record_builds()
         assert compute_proven_expansion(2).ok
-        assert len(calls) == 8
         assert calls == [(1, None), (1, None), (2, None), (F(3, 2), None),
-                         (3, None), (2, None), (4, 0), (F(1, 2), 0)]
+                         (3, None), (2, None), (4, 0)]
 
     # Golden digests of _proof_digest, recorded with the schedule that
     # expanded the constraint once per target (before the per-layer
@@ -488,6 +602,15 @@ class TestComputeProvenExpansion:
         assert result.ok, result.failure
         assert _proof_digest(result) == (
             "66a558fcc157eaffaf59012cf99fcec3036b85e41c4bb679be40d397d09b7997")
+
+    def test_degree_3_golden_text(self):
+        # the same proof as the digest above, as text, so that a change
+        # shows where it is (regenerate with python tests/proof_text.py 3)
+        result = compute_proven_expansion(3)
+        want = (Path(__file__).parent / "golden" / "proof_log_deg3.txt").read_text()
+        got = render(result)
+        assert got == want, "".join(difflib.unified_diff(
+            want.splitlines(True), got.splitlines(True), "golden", "now"))
 
     def test_degree_8_golden_digest(self, cpe8):
         assert _proof_digest(cpe8) == (
