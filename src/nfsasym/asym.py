@@ -206,13 +206,11 @@ def _xy_series(f: ScaledAsymptotic):
     return xs, ys, g
 
 
-def p_of(u: ScaledAsymptotic, n: int, q: Optional[TruncatedBiSeries] = None) -> ScaledAsymptotic:
+def p_of(u: ScaledAsymptotic, n: int) -> ScaledAsymptotic:
     """Log smoothness probability -u log u * Q^(n)(X(u), Y(u)) of e^u at bound
     e^b with u the size ratio; returns an element at (alpha, beta + 1)."""
     xs, ys, g = _xy_series(u)
-    if q is None:
-        q = q_truncation(n)
-    composed = q.compose(xs, ys)
+    composed = q_truncation(n).compose(xs, ys)
     return ScaledAsymptotic(
         u.scale, u.nu_exp, u.lognu_exp + 1, -(u.series * g * composed)
     )

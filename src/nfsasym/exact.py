@@ -356,7 +356,8 @@ class LogConstant:
 
     @staticmethod
     def parse(text: str) -> "LogConstant":
-        """Inverse of to_string; rejects generators other than l2, l3."""
+        """Inverse of to_string; rejects generators other than l2, l3 and
+        exponents below 1."""
         text = text.strip()
         if text == "0":
             return _LC_ZERO
@@ -375,6 +376,8 @@ class LogConstant:
                 if mono is None:
                     raise ExactError(f"generator {gen_s!r} is outside Q[l2, l3]")
                 e = int(exp_s) if exp_s else 1
+                if e < 1:
+                    raise ExactError(f"exponent of {factor!r} is below 1")
                 i, j = i + mono[0] * e, j + mono[1] * e
             n_s, _, d_s = coeff_s.strip("()").partition("/")
             d = int(d_s) if d_s else 1

@@ -15,9 +15,10 @@ with A(0,0) = B(0,0) = D(0,0) = 1, and the constraint
 
 is expanded with the smoothness map p of the asym module, its series Q
 truncated at the expansion's own order, then divided by the scale of a.
-With unknown coefficients attached, each coefficient of the expansion is an
-exact polynomial (of degree <= 2) in them, an UnknownPoly, assembled by
-Taylor's formula from builds over known coefficients (see _expand_layer).
+With unknown coefficients attached, each in place of its slot's known
+value, each coefficient of the expansion is an exact polynomial (of degree
+<= 2) in them, an UnknownPoly, assembled by Taylor's formula from builds
+over the known coefficients (see _expand_layer).
 
 Solving schedule.  A's monomials are targeted one at a time in graded-lex
 order (X before Y), one degree layer after the other.  The constraint is
@@ -55,11 +56,13 @@ half-integer zeros and vanishing below the target.  The log of the guessing
 pass is therefore the minimality proof: compute_proven_expansion(n) walks the
 schedule once, through degree n+1, certifies existence at degrees 1..n, and
 checks the P2 -> P3 adjacency on that same log.  Existence at degree k
-substitutes the truncated candidate into the constraint at order k+2 with
-a pure-X tail unknown of A: layer k+2 of the schedule for k <= n-1, and at
-k = n layer n+1 and one expansion in X alone (see prove_existence).  So a
-proof makes n+1 layer expansions, each a plain build and a jet build, and
-one plain build in X alone, none above order n+1 in both variables.  Every
+substitutes the truncated candidate into the constraint at order k+2: it
+must vanish below X^(k+2), and minus its coefficient there over F_A(0),
+its slope in A's coefficient at X^(k+2), is the witness (_certify_existence).
+The expansion read is layer k+2 of the schedule for k <= n-1, and at k = n
+layer n+1 and one expansion in X alone (see prove_existence).  So a proof
+makes n+1 layer expansions, each a plain build and a jet build, and one
+plain build in X alone, none above order n+1 in both variables.  Every
 step of a layer shares the layer's absorption audit.
 """
 
@@ -74,7 +77,6 @@ from .asym import (
     FoldEvent, ScaledAsymptotic, asym_add, asym_div, asym_inv, asym_mul, asym_neg,
     asym_scalar_mul, nu_element, p_of, scale_a, scale_d,
 )
-from .dickman import q_truncation
 from .exact import LogConstant, scale_ratio_as_rational
 from .pseries import TruncatedBiSeries, _grlex_key
 
@@ -441,7 +443,6 @@ def build_constraint(
     beyond it.
     """
     n = int(order)
-    q = q_truncation(n)
 
     a = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), A)
     b = ScaledAsymptotic(scale_a(), Fraction(1, 3), Fraction(2, 3), B)
@@ -453,7 +454,7 @@ def build_constraint(
     u0 = asym_mul(asym_add(a, nu_over_d, audit), b_inv)
     u1 = asym_mul(asym_add(asym_mul(d, a), nu_over_d, audit), b_inv)
 
-    total = asym_add(p_of(u0, n, q), p_of(u1, n, q), audit)
+    total = asym_add(p_of(u0, n), p_of(u1, n), audit)
     total = asym_add(total, asym_scalar_mul(a, 2), audit)
     total = asym_add(total, asym_neg(b), audit)
 
@@ -591,16 +592,17 @@ def _trials(terms: dict, order, y_max) -> list[TruncatedBiSeries]:
 def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
                   y_max=None) -> tuple[TruncatedBiSeries, list]:
     """Expand the constraint once at `order` over the known A and D
-    coefficients, B being A's a = b copy, with `symbols` attached on top;
-    modulo every term of Y exponent above `y_max` when it is given.
-    Returns the series, every coefficient an UnknownPoly, and the
-    absorption audit of the build.
+    coefficients, B being A's a = b copy, with each of `symbols` in place
+    of its slot's known value; modulo every term of Y exponent above
+    `y_max` when it is given.  Returns the series, every coefficient an
+    UnknownPoly, and the absorption audit of the build.
 
     No series is built over the unknowns.  Write the trial as P0 + dP, P0
-    the known coefficients and dP each attached unknown less its value in
-    P0.  Every operation of build_constraint is a ring operation or an
-    analytic map of the series ring (products, inverse, log, composition
-    with Q, shifts), so Taylor's formula holds there:
+    the known coefficients with the attached slots left empty and dP the
+    attached unknowns themselves.  Every operation of build_constraint is a
+    ring operation or an analytic map of the series ring (products,
+    inverse, log, composition with Q, shifts), so Taylor's formula holds
+    there:
 
         F(P0 + dP) = F0 + F_A dA + F_B dB + F_D dD + sum_{k<=l} c_kl dk dl + ...
 
@@ -613,17 +615,15 @@ def _expand_layer(A: dict, D: dict, symbols: list[Symbol], order: int,
     says why) and come from one cached build.  The formula is exact, so the
     series is the one the build with the unknowns attached would give.
     """
-    base = {"a": A, "b": A, "d": D}
+    base = {"a": dict(A), "b": dict(A), "d": dict(D)}
+    for sym in symbols:
+        base[sym[0]].pop(sym[1:], None)
     audit: list = []
     f0 = build_constraint(*_trials(base, order, y_max), order, audit=audit)
     out = {e: {(): c} for e, c in f0.terms.items()}
     if symbols:
-        _add_derivative_terms(out, base, symbols, f0.order2, y_max)
-    polys = {}
-    for e, coeffs in out.items():
-        coeffs = {m: c for m, c in coeffs.items() if c}
-        if coeffs:
-            polys[e] = UnknownPoly._make(coeffs)
+        _add_derivative_terms(out, base, symbols, f0.order2)
+    polys = {e: UnknownPoly(coeffs) for e, coeffs in out.items()}
     return TruncatedBiSeries._make(f0.order2, polys, f0.ymax2), audit
 
 
@@ -632,15 +632,18 @@ def _base_point() -> tuple[dict, dict]:
     """F_k at degree 0 by kind k, and c_kl by pair of kinds (k, l), read off
     the build of A, B, D = 1 + a, b, d X^(1/2) with the symbols a, b, d
     attached, at order 1 modulo Y: its coefficient at X^(1/2) is sum F_k k,
-    and the one at X has quadratic part sum c_kl k l.  Built on first use."""
+    and the one at X has quadratic part sum c_kl k l.  Built on first use.
+    F_A is the slope of every existence certificate, so it must be a
+    nonzero rational (checked)."""
     trials = {k: {(0, 0): LogConstant.one(), _EPS: UnknownPoly.from_symbol((k, *_EPS))} for k in "abd"}
     f = build_constraint(*_trials(trials, 1, 0), 1)
     first = {kind: f.terms[_EPS].coeff_linear((kind, *_EPS)) for kind in "abd"}
+    if not first["a"].is_rational() or first["a"].is_zero():
+        raise NfsoptError(f"F_A at degree 0 is {first['a']}, not a nonzero rational")
     return first, {(m[0][0], m[1][0]): c for m, c in f.terms[(2, 0)].terms.items() if len(m) == 2}
 
 
-def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: int,
-                          y_max) -> None:
+def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: int) -> None:
     """Add the Taylor terms of first and second order in `symbols` to `out`,
     {exponent: {unknown monomial: LogConstant}}, through doubled order2.
 
@@ -649,12 +652,13 @@ def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: 
     (checked) and the fixed scales: they are the same for every layer, and
     come from _base_point.  Only a kind with an unknown below the order is
     perturbed, in one build over first-order Jets, whose part in kind k is
-    F_k X^(1/2); a trial with none (prove_existence's tail) takes no jet build.
+    F_k X^(1/2).  The jet build keeps no Y bound: dropping the terms past
+    one commutes with the build, and _expand_layer's series drops them.
     """
     zero = LogConstant.zero()
-    deltas: dict[str, list] = {kind: [] for kind in "abd"}  # (exponent, symbol, value in P0)
+    deltas: dict[str, list] = {kind: [] for kind in "abd"}  # (exponent, symbol)
     for sym in symbols:
-        deltas[sym[0]].append((sym[1:], sym, base[sym[0]].get(sym[1:], zero)))
+        deltas[sym[0]].append((sym[1:], sym))
     low2 = min(sym[1] + sym[2] for sym in symbols)
     if not low2 or 2 * low2 < order2:
         raise UnknownShapeError(
@@ -670,7 +674,7 @@ def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: 
         jets = {kind: {e: c for e, c in base[kind].items() if sum(e) <= 2 * jet_order} for kind in "abd"}
         for kind in perturbed:
             jets[kind][_EPS] = Jet({(): jets[kind].get(_EPS, zero), ((kind, *_EPS),): LogConstant.one()})
-        for e, c in build_constraint(*_trials(jets, jet_order, y_max), jet_order).terms.items():
+        for e, c in build_constraint(*_trials(jets, jet_order, None), jet_order).terms.items():
             if isinstance(c, Jet):
                 for m, v in c.terms.items():
                     if m:
@@ -681,27 +685,16 @@ def _add_derivative_terms(out: dict, base: dict, symbols: list[Symbol], order2: 
         coeffs[m] = coeffs[m] + c if m in coeffs else c
 
     for kind, entries in deltas.items():
-        for (sx, sy), sym, value in entries:
+        for (sx, sy), sym in entries:
             for (fx, fy), c in first[kind].items():
                 if fx + fy + sx + sy <= order2:
-                    e = (fx + sx, fy + sy)
-                    put(e, (sym,), c)
-                    if value:
-                        put(e, (), -(c * value))
+                    put((fx + sx, fy + sy), (sym,), c)
     # c_kl dk dl, summed over every ordered pair of a term of dk and one of dl
     for (k, l), c in second.items():
-        for e1, s1, v1 in deltas[k]:
-            for e2, s2, v2 in deltas[l]:
-                if e1[0] + e1[1] + e2[0] + e2[1] > order2:
-                    continue
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                put(e, _mono_product((s1,), (s2,)), c)
-                if v2:
-                    put(e, (s1,), -(c * v2))
-                if v1:
-                    put(e, (s2,), -(c * v1))
-                    if v2:
-                        put(e, (), c * v1 * v2)
+        for e1, s1 in deltas[k]:
+            for e2, s2 in deltas[l]:
+                if e1[0] + e1[1] + e2[0] + e2[1] <= order2:
+                    put((e1[0] + e2[0], e1[1] + e2[1]), _mono_product((s1,), (s2,)), c)
 
 
 def _solve_target(state: _State, series: TruncatedBiSeries, absorptions: list,
@@ -947,17 +940,17 @@ def _certify_existence(k: int, series: TruncatedBiSeries, cand: CandidateExpansi
                        top: Optional[TruncatedBiSeries] = None) -> ExistenceCertificate:
     """Read the degree-k existence certificate off an order-(k+2) expansion.
 
-    The tail unknown is A's at X^(k+2).  Every other attached unknown takes
-    its value in the truncated trial: A^(k+1) for a and b, D^((k+1)/2) for d,
-    0 past the truncation.  Then the constraint must vanish below X^(k+2),
-    and its coefficient there must be affine in the tail with a nonzero
-    rational slope.  When `top` is given, the coefficient at X^(k+2) is read
-    from it, and `series` supplies only the monomials below.
+    Every unknown of layers k+1 and k+2 takes its value in the truncated
+    trial: A^(k+1) for a and b, D^((k+1)/2) for d, 0 past the truncation.
+    Then the constraint F must vanish below X^(k+2).  A perturbation t X^(k+2)
+    of A adds F_A(0) t there and nothing below (_base_point), so the
+    certificate's witness is kappa = -F[X^(k+2)] / F_A(0), with slope
+    F_A(0).  When `top` is given, the coefficient at X^(k+2) is read from
+    it, and `series` supplies only the monomials below.
     """
     dominant = (2 * (k + 2), 0)
-    tail: Symbol = ("a", *dominant)
-    values = _known_values(k + 2, cand.A.truncate(k + 1).terms,
-                           cand.D.truncate(Fraction(k + 1, 2)).terms, (tail,))
+    A, D = cand.A.truncate(k + 1).terms, cand.D.truncate(Fraction(k + 1, 2)).terms
+    values = {**_known_values(k + 1, A, D, ()), **_known_values(k + 2, A, D, ())}
     dominant_key = _grlex_key(dominant)
     for mono in sorted(series.terms, key=_grlex_key):
         if _grlex_key(mono) >= dominant_key:
@@ -972,16 +965,8 @@ def _certify_existence(k: int, series: TruncatedBiSeries, cand: CandidateExpansi
             ))
     if top is None:
         top = series
-    poly = top.terms.get(dominant, UnknownPoly({})).substitute(values)
-    slope = poly.coeff_linear(tail)
-    if poly.degree() != 1 or poly.unknowns() != {tail} or not slope.is_rational() or slope.is_zero():
-        raise ExistenceFailure(FailureRecord(
-            "existence", k, _frac_pair(dominant),
-            "dominant coefficient is not affine in the tail unknown with"
-            " nonzero rational slope",
-            detail=str(poly),
-        ))
-    kappa = -(poly.constant() / slope)
+    slope = _base_point()[0]["a"]
+    kappa = -(top.terms.get(dominant, UnknownPoly({})).substitute(values).constant() / slope)
     # For k = 1 the trial D = D^(1) is exact through every order the dominant
     # monomial can see, so kappa coincides with the next pure-X coefficient
     # of A; at higher degrees the (k+1)/2 truncation of D shifts the witness
@@ -992,14 +977,14 @@ def _certify_existence(k: int, series: TruncatedBiSeries, cand: CandidateExpansi
 def prove_existence(n: int, cand: CandidateExpansion,
                     *, _layer: Optional[TruncatedBiSeries] = None) -> ExistenceCertificate:
     """Certify functions matching A^(n+1), B^(n+1), D^((n+1)/2) exist on the
-    constraint, by pinning a pure-X tail perturbation of A at degree n+2.
+    constraint, by pinning a pure-X perturbation of A at degree n+2.
 
-    The certificate reads the order-(n+2) constraint of the truncated trial
-    with the tail attached, but it does not expand it:
+    The certificate reads the order-(n+2) constraint of the truncated trial,
+    but it does not expand it:
 
     * its coefficients of degree <= n+1 come from an order-(n+1) plain
       build of the trial, or from `_layer`, compute_proven_expansion's layer
-      n+1 (built over the same known values), with the trial substituted;
+      n+1, whose unknowns _certify_existence sets to the trial's values;
     * its coefficients of degree n+3/2 vanish when every exponent of the
       trial and every asym_add gap is an integer, since the parity of the
       doubled exponents is then preserved by every operation of the build;
@@ -1009,26 +994,20 @@ def prove_existence(n: int, cand: CandidateExpansion,
       and asym_add multiplies by Y^gap with gap >= 0 only.
 
     A trial with a nonzero half-integer term, or a build with a non-integer
-    gap, takes the full order-(n+2) expansion instead.  The tail sits at the
-    order, so neither expansion takes a jet build (_add_derivative_terms).
+    gap, takes the full order-(n+2) expansion instead.  No build attaches
+    an unknown.
     """
     if n < 1:
         raise ValueError("prove_existence needs n >= 1")
     if cand.degA < n + 1:
         raise ValueError(f"candidate guessed only to degree {cand.degA}, need {n + 1}")
     A, D = cand.A.truncate(n + 1), cand.D.truncate(Fraction(n + 1, 2))
-    tail = [("a", 2 * (n + 2), 0)]
     if A.has_integer_exponents() and D.has_integer_exponents():
-        top, audit = _expand_layer(A.terms, D.terms, tail, n + 2, y_max=0)
+        top, audit = _expand_layer(A.terms, D.terms, [], n + 2, y_max=0)
         if all(ev.gap.denominator == 1 for ev in audit if isinstance(ev, FoldEvent)):
-            if _layer is None:
-                low, _ = _expand_layer(A.terms, D.terms, [], n + 1)
-            else:
-                values = _known_values(n + 1, A.terms, D.terms, ())
-                low = TruncatedBiSeries._make(
-                    _layer.order2, {e: p.substitute(values) for e, p in _layer.terms.items()})
+            low = _layer if _layer is not None else _expand_layer(A.terms, D.terms, [], n + 1)[0]
             return _certify_existence(n, low, cand, top)
-    series, _ = _expand_layer(A.terms, D.terms, tail, n + 2)
+    series, _ = _expand_layer(A.terms, D.terms, [], n + 2)
     return _certify_existence(n, series, cand)
 
 

@@ -196,6 +196,16 @@ class TestCacheReadPath:
             with pytest.raises(cachemod.CacheError, match="malformed"):
                 load_expansion(small)
 
+    def test_negative_exponent_is_malformed(self, cache_env, cpe2):
+        # a coefficient with l2^-1 is rejected while the file is decoded,
+        # before any constraint is rebuilt
+        path = save_expansion(cpe2)
+        payload = json.loads(path.read_text())
+        payload["A"]["terms"]["6,0"] = "(1)*l2^-1"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(cachemod.CacheError, match="malformed expansion cache"):
+            load_expansion(path)
+
     def test_unparseable_names_ignored(self, cache_env, cpe2):
         path = save_expansion(cpe2)
         shutil.copy(path, path.with_name("expansion_degX.json"))

@@ -302,6 +302,12 @@ class TestSerialization:
         with pytest.raises(ExactError):
             LogConstant.parse("(1/0)*l2 + (1)")
 
+    def test_exponent_below_one_rejected(self):
+        # l2^-1 lies outside Q[l2, l3], and l3^0 is no canonical rendering
+        for text in ("(1)*l2^-1", "(1)*l3^0"):
+            with pytest.raises(ExactError, match="below 1"):
+                LogConstant.parse(text)
+
     def test_fraction_string(self):
         # a quotient rendering is outside Q[l2, l3]
         with pytest.raises(ExactError):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nfsasym import nfsopt
+from nfsasym import asym, nfsopt
 from nfsasym.asym import FoldEvent
 from nfsasym.dickman import q_truncation
 from nfsasym.exact import LogConstant
@@ -19,7 +19,7 @@ from nfsasym.nfsopt import (
     build_constraint, classify_pattern, compute_proven_expansion,
     constraint_residual, guess_terms, prove_existence,
 )
-from nfsasym.pseries import TruncatedBiSeries
+from nfsasym.pseries import TruncatedBiSeries, _grlex_key
 
 from conftest import L2, L3, random_logconstant, reference_table
 from proof_text import render
@@ -372,8 +372,8 @@ class TestProveExistence:
         # coefficient, "half" gives D a term X^(1/2).  The records were taken
         # when every certificate read one order-(k+2) bivariate build; a
         # half-integer trial still takes that build, the others an
-        # order-(k+1) build and the order-(k+2) build modulo Y.  The tail
-        # unknown sits at the order itself, so neither takes a jet build.
+        # order-(k+1) build and the order-(k+2) build modulo Y.  Neither
+        # attaches an unknown, so neither takes a jet build.
         monomial = {"low": (1, 1), "x": (k + 1, 0), "half": (1, 0)}[kind]
         detail = "((-1/2))" if kind == "half" else "((3/2))"
         cand = guess_terms(3)
@@ -406,6 +406,22 @@ class TestProveExistence:
         builds = record_builds(fold=FoldEvent(F(1, 2)))
         assert prove_existence(1, cand) == want
         assert builds == [(3, 0), (3, None)]
+
+    def test_certificates_match_full_builds(self):
+        # an oracle outside the layer path (k < n) and the modulo-Y path
+        # (k = n): the plain constraint of each truncated trial, A^(k+1) as
+        # both A and B and D^((k+1)/2), built once at the full order k+2
+        result = compute_proven_expansion(5)
+        assert result.ok, result.failure
+        cand = result.candidate
+        for k, cert in enumerate(result.certificates, 1):
+            a = TruncatedBiSeries(k + 2, cand.A.truncate(k + 1).terms)
+            d = TruncatedBiSeries(k + 2, cand.D.truncate(F(k + 1, 2)).terms)
+            f = build_constraint(a, a, d, k + 2)
+            dominant = (2 * (k + 2), 0)
+            assert all(_grlex_key(e) >= _grlex_key(dominant) for e in f.terms), k
+            assert cert.kappa == f.terms.get(dominant, LogConstant.zero()) * F(-2, 3), k
+            assert cert.slope == F(3, 2)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_x_only_expansion_matches_full(self, n):
@@ -556,7 +572,7 @@ class TestComputeProvenExpansion:
         # negative control for expanding Q to the constraint's own order:
         # capping the smoothness order must either break the run or visibly
         # change proven coefficients
-        monkeypatch.setattr(nfsopt, "q_truncation", lambda m: q_truncation(min(m, 1)))
+        monkeypatch.setattr(asym, "q_truncation", lambda m: q_truncation(min(m, 1)))
         table = reference_table()
         try:
             res = compute_proven_expansion(2)
@@ -585,8 +601,7 @@ class TestComputeProvenExpansion:
         # separate degree-1 certificate build or a bivariate degree-2 one
         # would add more.  Each layer is a plain build followed by its jet
         # build at order k/2 + 1/2 (the slot unknowns have degree k/2); the
-        # existence build's only unknown, the tail, sits at its order, so it
-        # takes no jet build
+        # existence build attaches no unknown, so it takes no jet build
         calls = record_builds()
         assert compute_proven_expansion(2).ok
         assert calls == [(1, None), (1, None), (2, None), (F(3, 2), None),
